@@ -163,6 +163,12 @@ MwhvcRun::MwhvcRun(const hg::Hypergraph& g, const MwhvcOptions& opts) {
   cfg.gamma = opts.gamma;
   cfg.appendix_c = opts.appendix_c;
   cfg.trace = &trace;
+  if (cfg.alpha_mode == AlphaMode::kLocalPerEdge) {
+    cfg.alpha_by_delta.resize(std::size_t{g.max_degree()} + 1);
+    for (std::uint32_t d = 0; d <= g.max_degree(); ++d) {
+      cfg.alpha_by_delta[d] = theorem9_alpha(cfg.f, cfg.eps, d, cfg.gamma);
+    }
+  }
 
   impl_->eng = std::make_unique<Engine>(g, opts.engine);
   Engine& eng = *impl_->eng;

@@ -131,6 +131,11 @@ struct Config {
   double gamma = 0.001;
   bool appendix_c = false;  ///< one-level-per-iteration variant
   Trace* trace = nullptr;   ///< nullable
+  /// Theorem 9 alpha indexed by local degree bound, for every bound up to
+  /// the instance's max degree: filled once per run (kLocalPerEdge) so the
+  /// agents look alpha up instead of evaluating log/pow per incidence.
+  /// Bounds past its end fall back to the formula.
+  std::vector<double> alpha_by_delta;
 
   /// The alpha an edge with local degree bound `local_delta` uses.
   [[nodiscard]] double alpha_for(std::uint32_t local_delta) const {
@@ -140,7 +145,9 @@ struct Config {
       case AlphaMode::kGlobalDelta:
         return alpha_global;
       case AlphaMode::kLocalPerEdge:
-        return theorem9_alpha(f, eps, local_delta, gamma);
+        return local_delta < alpha_by_delta.size()
+                   ? alpha_by_delta[local_delta]
+                   : theorem9_alpha(f, eps, local_delta, gamma);
     }
     return 2.0;
   }

@@ -1,9 +1,15 @@
 #include "hypergraph/io.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cassert>
+#include <charconv>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hypercover::hg {
@@ -36,19 +42,39 @@ std::int64_t next_int(std::istream& is, const char* what) {
   }
 }
 
+constexpr std::string_view kHeader = "hypergraph ";
+
+constexpr auto kPow10 = [] {
+  std::array<std::uint64_t, 20> p{};
+  p[0] = 1;
+  for (std::size_t i = 1; i < p.size(); ++i) p[i] = p[i - 1] * 10;
+  return p;
+}();
+
+/// Decimal digits of `v`. The bit width gives floor(log10) or one less
+/// (1233 / 4096 ~ log10(2)) and one table compare settles which. `v | 1`
+/// maps 0 to 1 and moves no other value across a power of ten (every
+/// power above 1 is even).
+std::size_t decimal_len(std::uint64_t v) {
+  const std::uint64_t x = v | 1;
+  const auto t = static_cast<std::size_t>(std::bit_width(x) * 1233) >> 12;
+  return t + (x >= kPow10[t] ? 1 : 0);
+}
+
+std::size_t decimal_len(std::int64_t v) {
+  return v < 0 ? 1 + decimal_len(0 - static_cast<std::uint64_t>(v))
+               : decimal_len(static_cast<std::uint64_t>(v));
+}
+
+std::size_t decimal_len(std::uint32_t v) {
+  return decimal_len(std::uint64_t{v});
+}
+
 }  // namespace
 
 void write_text(std::ostream& os, const Hypergraph& g) {
-  os << "hypergraph " << g.num_vertices() << ' ' << g.num_edges() << '\n';
-  for (std::uint32_t v = 0; v < g.num_vertices(); ++v) {
-    os << g.weight(v) << (v + 1 == g.num_vertices() ? '\n' : ' ');
-  }
-  for (std::uint32_t e = 0; e < g.num_edges(); ++e) {
-    const auto members = g.vertices_of(e);
-    os << members.size();
-    for (const VertexId v : members) os << ' ' << v;
-    os << '\n';
-  }
+  const std::string text = to_text(g);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 Hypergraph read_text(std::istream& is) {
@@ -115,9 +141,44 @@ Hypergraph read_text(std::istream& is) {
 }
 
 std::string to_text(const Hypergraph& g) {
-  std::ostringstream os;
-  write_text(os, g);
-  return os.str();
+  const std::uint32_t n = g.num_vertices();
+  const std::uint32_t m = g.num_edges();
+
+  // Pass 1: the exact rendered length, so the text lands in one
+  // allocation with no slack.
+  std::size_t size = kHeader.size() + decimal_len(n) + 1 + decimal_len(m) + 1;
+  for (const Weight w : g.weights()) size += decimal_len(w) + 1;
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto members = g.vertices_of(e);
+    size += decimal_len(members.size()) + 1;  // count and newline
+    for (const VertexId v : members) size += 1 + decimal_len(v);
+  }
+
+  // Pass 2: render into exactly that many bytes.
+  std::string text(size, '\0');
+  char* p = text.data();
+  char* const end = p + size;
+  const auto put = [&](auto value) { p = std::to_chars(p, end, value).ptr; };
+  p = std::copy(kHeader.begin(), kHeader.end(), p);
+  put(n);
+  *p++ = ' ';
+  put(m);
+  *p++ = '\n';
+  for (VertexId v = 0; v < n; ++v) {
+    put(g.weight(v));
+    *p++ = v + 1 == n ? '\n' : ' ';
+  }
+  for (EdgeId e = 0; e < m; ++e) {
+    const auto members = g.vertices_of(e);
+    put(members.size());
+    for (const VertexId v : members) {
+      *p++ = ' ';
+      put(v);
+    }
+    *p++ = '\n';
+  }
+  assert(p == end);
+  return text;
 }
 
 Hypergraph from_text(const std::string& text) {

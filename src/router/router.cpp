@@ -224,11 +224,18 @@ struct Router::Impl {
     write_frame(sock, FrameTag::kError, w.take());
   }
 
+  /// Counts one protocol violation on both surfaces, the StatsReply
+  /// counter and the scraped one, so the two cannot drift apart.
+  void count_protocol_error() {
+    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    m_proto_errors.inc();
+  }
+
   /// Same trailing-bytes discipline as the server (see server.cpp):
   /// accepting a prefix of a request acts on half a request.
   bool consumed_all(Socket& sock, const PayloadReader& r, const char* what) {
     if (r.done()) return true;
-    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    count_protocol_error();
     send_error(sock, std::string(what) + " carries " +
                          std::to_string(r.remaining()) +
                          " trailing payload bytes");
@@ -641,8 +648,7 @@ struct Router::Impl {
         m_requests.inc();
         PayloadReader r(frame.payload);
         if (!greeted && frame.tag != FrameTag::kHello) {
-          protocol_errors.fetch_add(1, std::memory_order_relaxed);
-          m_proto_errors.inc();
+          count_protocol_error();
           send_error(sock, "first frame must be Hello");
           return;
         }
@@ -652,8 +658,7 @@ struct Router::Impl {
             if (!consumed_all(sock, r, "Hello")) return;
             if (version < server::kMinProtocolVersion ||
                 version > server::kProtocolVersion) {
-              protocol_errors.fetch_add(1, std::memory_order_relaxed);
-              m_proto_errors.inc();
+              count_protocol_error();
               send_error(sock,
                          "protocol version " + std::to_string(version) +
                              " unsupported (router speaks " +
@@ -700,8 +705,7 @@ struct Router::Impl {
             request_stop();
             return;
           default:
-            protocol_errors.fetch_add(1, std::memory_order_relaxed);
-            m_proto_errors.inc();
+            count_protocol_error();
             send_error(sock, "unknown frame tag " +
                                  std::to_string(
                                      static_cast<unsigned>(frame.tag)));
@@ -710,13 +714,11 @@ struct Router::Impl {
         if (stopping.load(std::memory_order_acquire)) return;
       }
     } catch (const ProtocolError&) {
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      m_proto_errors.inc();
+      count_protocol_error();
     } catch (const SocketError&) {
       // Client vanished mid-reply; nothing to report to.
     } catch (...) {
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
-      m_proto_errors.inc();
+      count_protocol_error();
     }
   }
 

@@ -170,6 +170,13 @@ struct SolveServer::Impl {
     write_frame(sock, FrameTag::kError, w.take());
   }
 
+  /// Counts one protocol violation on both surfaces, the StatsReply
+  /// counter and the scraped one, so the two cannot drift apart.
+  void count_protocol_error() {
+    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    m_proto_errors.inc();
+  }
+
   /// A fully decoded request must have consumed its whole payload.
   /// Trailing bytes mean the peer framed a different (likely newer or
   /// corrupt) request shape than we just parsed — silently accepting the
@@ -178,7 +185,7 @@ struct SolveServer::Impl {
   /// desynchronized. Returns true when the request is clean.
   bool consumed_all(Socket& sock, const PayloadReader& r, const char* what) {
     if (r.done()) return true;
-    protocol_errors.fetch_add(1, std::memory_order_relaxed);
+    count_protocol_error();
     send_error(sock, std::string(what) + " carries " +
                          std::to_string(r.remaining()) +
                          " trailing payload bytes");
@@ -454,7 +461,7 @@ struct SolveServer::Impl {
         m_requests.inc();
         PayloadReader r(frame.payload);
         if (!greeted && frame.tag != FrameTag::kHello) {
-          protocol_errors.fetch_add(1, std::memory_order_relaxed);
+          count_protocol_error();
           send_error(sock, "first frame must be Hello");
           return;
         }
@@ -467,8 +474,7 @@ struct SolveServer::Impl {
             // sends a trace context, and spans only ride Results of
             // traced requests).
             if (version < kMinProtocolVersion || version > kProtocolVersion) {
-              protocol_errors.fetch_add(1, std::memory_order_relaxed);
-              m_proto_errors.inc();
+              count_protocol_error();
               send_error(sock, "protocol version " + std::to_string(version) +
                                    " unsupported (server speaks " +
                                    std::to_string(kProtocolVersion) + ")");
@@ -510,7 +516,7 @@ struct SolveServer::Impl {
             request_stop();
             return;
           default:
-            protocol_errors.fetch_add(1, std::memory_order_relaxed);
+            count_protocol_error();
             send_error(sock, "unknown frame tag " +
                                  std::to_string(static_cast<unsigned>(
                                      frame.tag)));
@@ -521,14 +527,14 @@ struct SolveServer::Impl {
     } catch (const ProtocolError&) {
       // Truncated/oversized frame: count it, drop the connection, and
       // keep serving everyone else. No reply — the stream is unusable.
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      count_protocol_error();
     } catch (const SocketError&) {
       // Peer vanished mid-reply; nothing to report to.
     } catch (...) {
       // Anything else (bad_alloc under pressure, a surprise from a
       // handler) must cost this connection, never the daemon: an
       // exception escaping the handler thread would std::terminate.
-      protocol_errors.fetch_add(1, std::memory_order_relaxed);
+      count_protocol_error();
     }
   }
 

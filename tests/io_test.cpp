@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -76,12 +77,62 @@ TEST(HypergraphIo, RoundTripsEdgeCases) {
 }
 
 TEST(HypergraphIo, StreamInterfaceMatchesStringInterface) {
-  const auto g = random_uniform(30, 60, 3, uniform_weights(9), 13);
-  std::ostringstream os;
-  write_text(os, g);
-  EXPECT_EQ(os.str(), to_text(g));
-  std::istringstream is(os.str());
-  expect_structurally_equal(g, read_text(is));
+  Builder b;  // edges with wide weights and a one-member edge
+  b.add_vertices(12, Weight{1} << 40);
+  b.add_edge({0, 11});
+  b.add_edge({10});
+  const Hypergraph graphs[] = {
+      random_uniform(30, 60, 3, uniform_weights(9), 13),
+      random_uniform(300, 900, 4, exponential_weights(40), 21),
+      Builder{}.build(),
+      b.build(),
+  };
+  for (const auto& g : graphs) {
+    std::ostringstream os;
+    write_text(os, g);
+    EXPECT_EQ(os.str(), to_text(g));
+    std::istringstream is(os.str());
+    expect_structurally_equal(g, read_text(is));
+  }
+}
+
+// The canonical rendering, byte for byte: an isolated vertex, weights at
+// 1, 2^40 and INT64_MAX (the widest to_chars output), a one-member edge.
+TEST(HypergraphIo, ToTextGoldenBytes) {
+  Builder b;
+  b.add_vertex(1);
+  b.add_vertex(Weight{1} << 40);
+  b.add_vertex(std::numeric_limits<Weight>::max());
+  b.add_vertex(5);  // isolated
+  b.add_edge({2});
+  b.add_edge({0, 1, 2});
+  EXPECT_EQ(to_text(b.build()),
+            "hypergraph 4 2\n"
+            "1 1099511627776 9223372036854775807 5\n"
+            "1 2\n"
+            "3 0 1 2\n");
+}
+
+TEST(HypergraphIo, ToTextGoldenBytesWithoutEdges) {
+  EXPECT_EQ(to_text(Builder{}.build()), "hypergraph 0 0\n");
+  Builder b;
+  b.add_vertices(3, 7);
+  EXPECT_EQ(to_text(b.build()), "hypergraph 3 0\n7 7 7\n");
+}
+
+// to_text sizes its buffer exactly: no slack beyond the allocator's own
+// rounding (capacity within 1% of the size, plus the small-string buffer).
+TEST(HypergraphIo, ToTextAllocatesExactSize) {
+  const Hypergraph graphs[] = {
+      random_uniform(2000, 6000, 3, exponential_weights(16), 22),
+      hyper_star(40, 3, uniform_weights(1'000'000'007), 23),
+      Builder{}.build(),
+  };
+  for (const auto& g : graphs) {
+    const std::string text = to_text(g);
+    EXPECT_LE(text.capacity(),
+              text.size() + text.size() / 100 + std::string().capacity());
+  }
 }
 
 TEST(HypergraphIo, SkipsCommentsAndToleratesWhitespace) {

@@ -38,6 +38,7 @@
 #include "hypergraph/generators.hpp"
 #include "hypergraph/io.hpp"
 #include "hypergraph/weights.hpp"
+#include "malformed_sessions.hpp"
 #include "router/ring.hpp"
 #include "router/router.hpp"
 #include "server/client.hpp"
@@ -505,6 +506,32 @@ TEST(Router, FleetStatsAggregateTheWholeFleet) {
   // The router folds its own client-facing counters on top.
   EXPECT_GE(fleet.connections, direct[0].connections + direct[1].connections +
                                    direct[2].connections);
+}
+
+// The router counts the sessions it refuses on both surfaces: the fleet
+// StatsReply (router plus backends) and its own scraped
+// hc_router_protocol_errors_total move by the same amount, and no
+// malformed frame reaches a backend.
+TEST(Router, ProtocolErrorsMatchTheScrapedCounter) {
+  namespace ts = testing_sessions;
+  TestBackend b0;
+  TestRouter rt({b0.address()});
+  server::Client client = rt.client();
+  const char* kCounter = "hc_router_protocol_errors_total";
+  const std::uint64_t stats_before = client.stats().protocol_errors;
+  const std::uint64_t scraped_before =
+      ts::scraped_counter(client.metrics_text(), kCounter);
+  ts::play_malformed_sessions(rt.router().address());
+  ts::wait_for_count(
+      [&] { return client.stats().protocol_errors - stats_before; },
+      ts::kMalformedSessions);
+  const std::uint64_t stats_delta =
+      client.stats().protocol_errors - stats_before;
+  EXPECT_EQ(stats_delta, ts::kMalformedSessions);
+  EXPECT_EQ(
+      ts::scraped_counter(client.metrics_text(), kCounter) - scraped_before,
+      stats_delta);
+  EXPECT_EQ(b0.server().stats().protocol_errors, 0u);
 }
 
 // --- router: fault injection ------------------------------------------------

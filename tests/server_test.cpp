@@ -29,6 +29,7 @@
 #include "hypergraph/generators.hpp"
 #include "hypergraph/io.hpp"
 #include "hypergraph/weights.hpp"
+#include "malformed_sessions.hpp"
 #include "server/cache.hpp"
 #include "server/client.hpp"
 #include "server/server.hpp"
@@ -727,6 +728,24 @@ TEST(ServerLifecycle, StatsCountersAreCoherent) {
   EXPECT_EQ(stats.in_flight, 0u);
   EXPECT_EQ(stats.queued_bytes, 0u);
   EXPECT_GE(stats.pool_threads, 1u);
+}
+
+// Every protocol error reaches both counter surfaces: StatsReply and the
+// scraped hc_server_protocol_errors_total move by the same amount.
+TEST(ServerLifecycle, ProtocolErrorsMatchTheScrapedCounter) {
+  namespace ts = testing_sessions;
+  TestServer srv;
+  server::Client c = srv.client();
+  const char* kCounter = "hc_server_protocol_errors_total";
+  const std::uint64_t scraped_before =
+      ts::scraped_counter(c.metrics_text(), kCounter);
+  ts::play_malformed_sessions(srv.address());
+  ts::wait_for_count([&] { return c.stats().protocol_errors; },
+                     ts::kMalformedSessions);
+  const std::uint64_t stats_delta = c.stats().protocol_errors;
+  EXPECT_EQ(stats_delta, ts::kMalformedSessions);
+  EXPECT_EQ(ts::scraped_counter(c.metrics_text(), kCounter) - scraped_before,
+            stats_delta);
 }
 
 TEST(ServerLifecycle, ShutdownFrameDrainsAndServeReturns) {
