@@ -228,30 +228,6 @@ BENCHMARK(BM_SparseTailRoundsDigestGuard)
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();
 
-// Batch throughput: many independent solves (the eps-sweep workload shape)
-// spread across a worker pool vs drained one by one.
-void BM_BatchSweep(benchmark::State& state) {
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  const auto g =
-      hg::random_uniform(20000, 60000, 3, hg::exponential_weights(12), 7);
-  std::vector<double> epsilons;
-  for (int k = 0; k <= 7; ++k) epsilons.push_back(std::ldexp(1.0, -k));
-  for (auto _ : state) {
-    const auto results = core::solve_mwhvc_sweep(g, epsilons, {}, threads);
-    benchmark::DoNotOptimize(results.back().cover_weight);
-  }
-  state.counters["threads"] = threads;
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(epsilons.size()));
-}
-BENCHMARK(BM_BatchSweep)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
 void BM_BruteForceOpt(benchmark::State& state) {
   const auto g = hg::random_uniform(static_cast<std::uint32_t>(state.range(0)),
                                     2 * state.range(0), 3,

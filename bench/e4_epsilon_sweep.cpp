@@ -35,16 +35,12 @@ void print_table() {
                  "mwhvc ratio<="});
   const auto g = instance(3);
   const std::vector<int> ks = {0, 1, 2, 4, 6, 8, 10, 14, 17};
-  // All eps points are independent solves: run them as one batch on the
-  // worker pool (threads = 0 -> one per hardware thread). Each result is
-  // bit-identical to a standalone solve_mwhvc at that eps.
-  std::vector<double> epsilons;
-  for (const int k : ks) epsilons.push_back(std::ldexp(1.0, -k));
-  const auto sweep = core::solve_mwhvc_sweep(g, epsilons, {}, /*threads=*/0);
-  for (std::size_t i = 0; i < ks.size(); ++i) {
-    const int k = ks[i];
-    const double eps = epsilons[i];
-    const auto ours = bench::metrics_from(g, sweep[i], sweep[i].iterations);
+  for (const int k : ks) {
+    const double eps = std::ldexp(1.0, -k);
+    core::MwhvcOptions opts;
+    opts.eps = eps;
+    const auto res = core::solve_mwhvc(g, opts);
+    const auto ours = bench::metrics_from(g, res, res.iterations);
     const auto kvy = bench::run_kvy(g, eps);
     const bool kmw_feasible = k <= 10;
     bench::Metrics kmw;

@@ -9,6 +9,7 @@
 // factor O(1 + f(A)/log n). The inner solver is also swapped for the
 // KVY baseline on the same reduced hypergraph as a comparison.
 
+#include "api/batch.hpp"
 #include "bench/common.hpp"
 #include "ilp/generators.hpp"
 #include "ilp/pipeline.hpp"
@@ -189,7 +190,7 @@ BENCHMARK(BM_Pipeline)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
 
 // The inner solves of all ILP families are independent MWHVC instances on
 // their reduced hypergraphs — the batch-solver shape. Measures draining
-// them on a worker pool vs one by one.
+// them through api::BatchScheduler on a 1- vs 4-worker pool.
 void BM_PipelineInnerBatch(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   std::vector<hg::Hypergraph> reduced;
@@ -197,14 +198,18 @@ void BM_PipelineInnerBatch(benchmark::State& state) {
     const auto zo = ilp::to_zero_one(ilp::random_covering_ilp(fam.params, fam.seed));
     reduced.push_back(ilp::zero_one_to_hypergraph(zo.program).graph);
   }
-  std::vector<core::MwhvcBatchJob> jobs(reduced.size());
+  std::vector<api::BatchJob> jobs(reduced.size());
   for (std::size_t i = 0; i < reduced.size(); ++i) {
     jobs[i].graph = &reduced[i];
-    jobs[i].opts.eps = 0.5;
-    jobs[i].opts.appendix_c = true;  // footnote 6, as in the pipeline
+    jobs[i].request.eps = 0.5;
+    jobs[i].request.mwhvc.appendix_c = true;  // footnote 6, as in the pipeline
+    jobs[i].request.certify = false;          // time the solves only
   }
+  api::BatchOptions opts;
+  opts.threads = threads;
+  api::BatchScheduler scheduler(opts);
   for (auto _ : state) {
-    const auto results = core::solve_mwhvc_batch(jobs, threads);
+    const auto results = scheduler.solve_all(jobs);
     benchmark::DoNotOptimize(results.back().cover_weight);
   }
   state.counters["threads"] = threads;

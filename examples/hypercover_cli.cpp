@@ -4,7 +4,7 @@
 //
 //   ./hypercover_cli --input=instance.hg [--algo=<name>] [--list-algos]
 //       [--eps=0.5] [--appendix-c] [--alpha=<fixed>] [--threads=1]
-//       [--dense] [--layout=epoch|legacy] [--f-approx] [--max-rounds=N]
+//       [--dense] [--f-approx] [--max-rounds=N]
 //       [--quiet] [--cover-only] [--stats-json[=path]] [--binary]
 //   ./hypercover_cli --input=instance.hg --convert=instance.hgb
 //   ./hypercover_cli --batch=manifest.txt [--threads=N] [--algo=<default>]
@@ -69,13 +69,12 @@
 // --threads=N steps agents on N workers (0 = one per hardware thread);
 // the run is bit-identical at any value. --dense forces the reference
 // dense engine schedule (for A/B comparisons; also bit-identical).
-// --layout=legacy selects the pre-arena byte-presence mailbox layout
-// (the perf A/B baseline; epoch is the default — also bit-identical).
 // --stats-json dumps a machine-readable record (algorithm, RunStats,
 // transcript hash, engine work counters, verification certificate, wall
 // time) to stdout, or to a file when given a path — the scripted
 // perf-tracking hook (scripts/bench_json.py --solve-json folds it into
-// the perf trajectory).
+// the perf trajectory). A served record omits "threads" and "scheduling":
+// those are local-engine knobs the server never receives.
 //
 // Exit code 0 on success (cover verified), 2 on verification failure,
 // 1 on usage/input errors. The stats record is emitted even when
@@ -143,7 +142,7 @@ enum class Served { kLocal, kCold, kCacheHit };
 /// integer precision. `solve_digest` is util::solve_digest — the same
 /// key the server cache uses.
 std::string stats_json(const api::Solution& sol, std::uint32_t threads,
-                       bool dense, bool legacy_layout, std::size_t cover_size,
+                       bool dense, std::size_t cover_size,
                        std::uint64_t solve_digest, Served served,
                        std::uint32_t busy_retries,
                        std::uint64_t busy_backoff_ms) {
@@ -152,9 +151,10 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
   std::ostringstream os;
   os << "{\n";
   os << "  \"algo\": \"" << json_escape(sol.algorithm) << "\",\n";
-  os << "  \"threads\": " << threads << ",\n";
-  os << "  \"scheduling\": \"" << (dense ? "dense" : "active") << "\",\n";
-  os << "  \"layout\": \"" << (legacy_layout ? "legacy" : "epoch") << "\",\n";
+  if (served == Served::kLocal) {
+    os << "  \"threads\": " << threads << ",\n";
+    os << "  \"scheduling\": \"" << (dense ? "dense" : "active") << "\",\n";
+  }
   os << "  \"rounds\": " << net.rounds << ",\n";
   os << "  \"completed\": " << (net.completed ? "true" : "false") << ",\n";
   os << "  \"total_messages\": " << net.total_messages << ",\n";
@@ -182,7 +182,6 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
   os << "  \"clear_slots\": " << net.clear_slots << ",\n";
   os << "  \"sparse_clear_passes\": " << net.sparse_clear_passes << ",\n";
   os << "  \"dense_clear_passes\": " << net.dense_clear_passes << ",\n";
-  os << "  \"epoch_clear_passes\": " << net.epoch_clear_passes << ",\n";
   os << "  \"step_cycles\": " << net.step_cycles << ",\n";
   os << "  \"cycles_per_agent_step\": "
      << json_number(net.agent_steps > 0
@@ -213,7 +212,6 @@ struct CommonKnobs {
   api::SolveRequest req;
   std::uint32_t threads = 1;
   bool dense = false;
-  bool legacy_layout = false;
 };
 
 /// Parses the shared flags into `k`; returns a nonzero exit code (after
@@ -232,14 +230,6 @@ int parse_knobs(const util::Cli& cli, CommonKnobs& k) {
   k.req.engine.threads = k.threads;
   k.req.engine.scheduling =
       k.dense ? congest::Scheduling::kDense : congest::Scheduling::kActive;
-  const std::string layout = cli.get("layout", std::string("epoch"));
-  if (layout == "legacy") {
-    k.legacy_layout = true;
-    k.req.engine.layout = congest::MailboxLayout::kLegacyBytes;
-  } else if (layout != "epoch" && layout != "1") {
-    std::cerr << "error: --layout must be epoch or legacy\n";
-    return 1;
-  }
   if (cli.has("max-rounds")) {
     const std::int64_t max_rounds =
         cli.get("max-rounds", std::int64_t{1} << 20);
@@ -278,9 +268,8 @@ int emit_solution(const util::Cli& cli, const hg::Hypergraph& g,
   bool json_on_stdout = false;
   if (cli.has("stats-json")) {
     const std::string json =
-        stats_json(sol, knobs.threads, knobs.dense, knobs.legacy_layout,
-                   cover_size, solve_digest, served, busy_retries,
-                   busy_backoff_ms);
+        stats_json(sol, knobs.threads, knobs.dense, cover_size, solve_digest,
+                   served, busy_retries, busy_backoff_ms);
     const std::string out_path = cli.get("stats-json", std::string("-"));
     // A bare --stats-json (no =path) parses as "1": dump to stdout, and
     // suppress the human-readable block below so stdout stays parseable
@@ -409,8 +398,6 @@ int run_connect(const util::Cli& cli, const CommonKnobs& knobs) {
               << "engine_sparse_clear_passes: " << s.engine_sparse_clear_passes
               << "\n"
               << "engine_dense_clear_passes: " << s.engine_dense_clear_passes
-              << "\n"
-              << "engine_epoch_clear_passes: " << s.engine_epoch_clear_passes
               << "\n";
     return 0;
   }
@@ -426,8 +413,8 @@ int run_connect(const util::Cli& cli, const CommonKnobs& knobs) {
   const hg::Hypergraph g =
       binary ? hg::read_binary(raw_bytes) : hg::from_text(raw);
   if (!quiet) std::cerr << "instance: " << hg::compute_stats(g) << "\n";
-  if (cli.has("threads") || knobs.dense || knobs.legacy_layout) {
-    std::cerr << "note: --threads/--dense/--layout are local-engine knobs; "
+  if (cli.has("threads") || knobs.dense) {
+    std::cerr << "note: --threads/--dense are local-engine knobs; "
                  "the server's own pool configuration applies\n";
   }
 

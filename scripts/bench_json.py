@@ -48,13 +48,13 @@ def run_bench(bench, bench_filter, min_time):
 # names the registry algorithm; "certificate" is the verification object
 # (valid / cover_valid / packing_feasible / error).
 SOLVE_FIELDS = (
-    "algo", "threads", "scheduling", "layout", "rounds", "completed",
+    "algo", "threads", "scheduling", "rounds", "completed",
     "total_messages", "total_bits", "max_message_bits",
     "bandwidth_limit_bits", "bandwidth_violations", "transcript_hash",
     "solve_digest", "served", "cache_hit",
     "agents_visited", "agent_steps", "slots_processed",
     "sparse_account_passes", "dense_account_passes", "clear_slots",
-    "sparse_clear_passes", "dense_clear_passes", "epoch_clear_passes",
+    "sparse_clear_passes", "dense_clear_passes",
     "step_cycles", "cycles_per_agent_step", "cover_weight",
     "cover_size", "dual_total", "certified_ratio", "certificate",
     "wall_ms",
@@ -100,7 +100,7 @@ def summarize(raw):
                        "solve_hist_p50_ms", "solve_hist_p99_ms",
                        "router_hist_p50_ms", "router_hist_p99_ms",
                        "n", "edges", "incidences", "bytes",
-                       "epoch_arena", "clear_slots", "step_cycles",
+                       "clear_slots", "step_cycles",
                        "cycles_per_step"):
                 point[key] = value
         points.append(point)
@@ -226,61 +226,21 @@ def check_gates(run_record, prior_runs=(), out=sys.stderr):
               f"({ratio:.1f}x) {status}", file=out)
         ok = ok and good
 
-    # Gates: mailbox layout A/B (e15). Names look like
-    # BM_EngineLayoutDigestGuard/100000/1/real_time; parts[1] is the
-    # instance size n, mode 0 the legacy byte-presence layout, mode 1 the
-    # epoch-arena layout. Three checks per pair:
-    #   * wall time: the arena must solve the LARGEST end-to-end
-    #     (non-Dense) instance >= 1.3x faster — enforced on multi-CPU
-    #     hosts, report-only on 1 CPU like the other wall-clock gates;
-    #   * clear_slots: the arena must write strictly fewer clearing slots
-    #     — ALWAYS enforced, the counter is deterministic (epoch
-    #     retirement writes zero slots, the legacy wipe writes them all);
-    #   * cycles_per_step: the arena points must not regress > 15%
-    #     against the previous recorded run's same-named point (multi-CPU
-    #     hosts only; raw cycle counts are too noisy to gate on 1 CPU).
-    layouts = {}
-    for p in run_record["benchmarks"]:
-        parts = p["name"].split("/")
-        if "EngineLayout" in parts[0] and len(parts) >= 3 \
-                and p.get("real_time"):
-            layouts.setdefault((parts[0], parts[1]), {})[parts[2]] = p
-    largest_e2e = max((int(n) for (base, n) in layouts
-                       if "Dense" not in base), default=None)
-    for (base, n), modes in sorted(layouts.items(),
-                                   key=lambda kv: (kv[0][0], int(kv[0][1]))):
-        legacy, arena = modes.get("0"), modes.get("1")
-        if legacy is None or arena is None:
-            continue
-        ratio = legacy["real_time"] / max(arena["real_time"], 1e-9)
-        enforced = "Dense" not in base and int(n) == largest_e2e \
-            and num_cpus >= 2
-        good = ratio >= 1.3 if enforced else True
-        status = "ok" if good else "REGRESSION"
-        if not enforced and num_cpus < 2:
-            status += " (report-only: 1 CPU)"
-        print(f"{base}/{n}: legacy {legacy['real_time']:.2f} vs arena "
-              f"{arena['real_time']:.2f} {legacy.get('time_unit', 'ms')} "
-              f"({ratio:.2f}x) {status}", file=out)
-        ok = ok and good
-        if "clear_slots" in legacy and "clear_slots" in arena:
-            fewer = arena["clear_slots"] < legacy["clear_slots"]
-            status = "ok" if fewer else "REGRESSION"
-            print(f"{base}/{n}: clear_slots arena "
-                  f"{arena['clear_slots']:.0f} vs legacy "
-                  f"{legacy['clear_slots']:.0f} (strictly fewer) {status}",
-                  file=out)
-            ok = ok and fewer
-    if layouts and num_cpus >= 2:
+    # Gate: engine cycles-per-agent-step drift (e11). The active-
+    # scheduling end-to-end points (BM_SchedulingDigestGuard/<n>/1/
+    # real_time) must not regress > 15% against the previous recorded
+    # run's same-named point (multi-CPU hosts only; raw cycle counts are
+    # too noisy to gate on 1 CPU).
+    if num_cpus >= 2:
         prior = {}
         for old_run in prior_runs:
             for p in old_run.get("benchmarks", []):
-                if "EngineLayout" in p.get("name", "") \
+                if "SchedulingDigestGuard" in p.get("name", "") \
                         and p.get("cycles_per_step"):
                     prior[p["name"]] = p["cycles_per_step"]
         for p in run_record["benchmarks"]:
             parts = p["name"].split("/")
-            if "EngineLayout" not in parts[0] or len(parts) < 3 \
+            if "SchedulingDigestGuard" not in parts[0] or len(parts) < 3 \
                     or parts[2] != "1" or not p.get("cycles_per_step"):
                 continue
             base = prior.get(p["name"])
@@ -424,14 +384,9 @@ def main():
         "ParseVsMap benches compare text-parse ingestion (/0) with hgb "
         "mmap + validate + zero-copy adoption (/1), both digest-guarded; "
         "mmap must load the largest instance >= 10x faster (report-only "
-        "on 1-CPU hosts). EngineLayout benches compare the legacy "
-        "byte-presence mailbox layout (/0) with the epoch-arena SoA "
-        "layout (/1), both digest-guarded; the arena must solve the "
-        "largest instance >= 1.3x faster on multi-core hosts (report-only "
-        "on 1 CPU), must write strictly fewer clear_slots (always "
-        "enforced: epoch retirement clears zero slots), and its "
+        "on 1-CPU hosts). The active SchedulingDigestGuard points' "
         "cycles_per_step must not regress > 15% against the previous "
-        "recorded run. RouterLoad benches drive the sharding router over "
+        "recorded run (multi-core hosts). RouterLoad benches drive the sharding router over "
         "a forked 3-backend fleet with open-loop Poisson arrivals, every "
         "response digest-guarded; the steady-state p99 must stay under "
         "the 500 ms SLO on multi-core hosts (report-only on 1 CPU), and "
@@ -507,12 +462,10 @@ def self_test():
         return {"name": f"BM_ParseVsMapDigestGuard/{n}/{mode}",
                 "real_time": ms, "time_unit": "ms"}
 
-    def layout(mode, ms, clear, cycles=None, n=100000):
-        p = {"name": f"BM_EngineLayoutDigestGuard/{n}/{mode}",
-             "real_time": ms, "time_unit": "ms", "clear_slots": clear}
-        if cycles is not None:
-            p["cycles_per_step"] = cycles
-        return p
+    def sched(mode, cycles, n=100000):
+        return {"name": f"BM_SchedulingDigestGuard/{n}/{mode}/real_time",
+                "real_time": 100.0, "time_unit": "ms",
+                "cycles_per_step": cycles}
 
     def router(p99, rps=40.0, hist=True, hist_p50=None, hist_p99=None):
         p = {"name": f"BM_RouterLoadDigestGuard/{rps:.0f}/real_time",
@@ -558,24 +511,12 @@ def self_test():
         ("parse_vs_map enforces only the largest instance", True,
          lambda: gates([load(0, 200.0, n=1000), load(1, 40.0, n=1000),
                         load(0, 400.0), load(1, 20.0)])),
-        ("layout 1.5x and fewer clears passes", True,
-         lambda: gates([layout(0, 150.0, 5000.0), layout(1, 100.0, 0.0)])),
-        ("layout 1.1x wall fails", False,
-         lambda: gates([layout(0, 110.0, 5000.0), layout(1, 100.0, 0.0)])),
-        ("layout 1.1x wall report-only on 1 cpu", True,
-         lambda: gates([layout(0, 110.0, 5000.0), layout(1, 100.0, 0.0)],
-                       num_cpus=1)),
-        ("layout equal clear_slots fails even on 1 cpu", False,
-         lambda: gates([layout(0, 150.0, 5000.0), layout(1, 100.0, 5000.0)],
-                       num_cpus=1)),
-        ("layout cycle drift 1.10x vs prior passes", True,
-         lambda: gates(
-             [layout(0, 150.0, 5000.0), layout(1, 100.0, 0.0, cycles=110.0)],
-             prior_runs=[_record([layout(1, 100.0, 0.0, cycles=100.0)])])),
-        ("layout cycle drift 1.20x vs prior fails", False,
-         lambda: gates(
-             [layout(0, 150.0, 5000.0), layout(1, 100.0, 0.0, cycles=120.0)],
-             prior_runs=[_record([layout(1, 100.0, 0.0, cycles=100.0)])])),
+        ("engine cycle drift 1.10x vs prior passes", True,
+         lambda: gates([sched(0, 500.0), sched(1, 110.0)],
+                       prior_runs=[_record([sched(1, 100.0)])])),
+        ("engine cycle drift 1.20x vs prior fails", False,
+         lambda: gates([sched(0, 500.0), sched(1, 120.0)],
+                       prior_runs=[_record([sched(1, 100.0)])])),
         ("router p99 under SLO passes", True,
          lambda: gates([router(120.0)])),
         ("router p99 over SLO fails", False,

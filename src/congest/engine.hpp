@@ -29,31 +29,16 @@
 // accounting (bit totals + transcript hash) runs in a single deterministic
 // slot-order pass after all agents of a round have stepped. A protocol run
 // is therefore a pure function of (hypergraph, agent construction) — with
-// any Options::threads value, either Options::scheduling mode, and either
-// Options::layout.
+// any Options::threads value and either Options::scheduling mode.
 //
-// Mailbox layout (Options::layout == MailboxLayout::kEpochArena, the
-// default): each direction's mailboxes are SoA arenas over the
-// receiver-side CSR — a payload array and a metadata array, double-
-// buffered. Each metadata word packs the slot's uint32 epoch stamp (low
-// half) with its uint32 message bit size (high half), so a send touches
-// exactly one metadata cache line and a presence probe is one load.
-// Shards own contiguous id ranges, so the arenas are the concatenation
-// of per-shard segments [slot_base[shard_begin], slot_base[shard_end]).
-// A slot is present iff its stamp equals the buffer's epoch:
-//
-//     slot s present in buffer B  <=>  uint32(B.meta[s]) == B.epoch
-//
-// Retiring a round's buffer is therefore ++epoch — zero slots written,
-// every round, dense or sparse (the legacy layout memsets or sparse-wipes
-// a byte array instead). Bit sizes are computed once at send time into
-// the metadata lane, so the saturated-round accounting pass is a pure
-// reduction over contiguous words (vectorizable) instead of scattered
-// payload loads, and sparse rounds replace the legacy global sort of the
-// merged dirty list with per-shard sorts (inside the parallel step phase)
-// plus one linear multi-way merge of disjoint ascending runs.
-// MailboxLayout::kLegacyBytes preserves the previous byte-presence layout
-// as the A/B baseline; both produce bit-identical transcripts.
+// Mailbox layout: each direction's mailboxes are a payload array and a
+// uint8 presence array over the receiver-side CSR, double-buffered. A
+// send stores the payload and sets its presence byte; retiring a round's
+// buffer wipes the presence bytes — a targeted wipe of the recorded
+// slots on sparse rounds, one memset on saturated ones. Accounting reads
+// bit sizes from the payloads and visits slots in ascending order: a
+// word-at-a-time presence scan on saturated rounds, the sorted dirty-slot
+// list on sparse ones.
 //
 // Activity-driven execution (Options::scheduling == kActive, the default):
 // protocols in this codebase halt agents progressively — covered edges and
@@ -61,9 +46,10 @@
 // per-shard worklists of live agents, compacted in place (preserving
 // ascending id order) whenever an agent halts, and steps only the
 // worklists. Sends record their destination slot in a per-shard dirty
-// list; accounting visits the merged list in ascending slot order. A
-// per-round density heuristic falls back to the dense scan when most
-// links carry a message, so saturated early rounds are not penalized.
+// list; accounting sorts the concatenated lists and visits them in
+// ascending slot order. A per-round density heuristic falls back to the
+// dense scan when most links carry a message, so saturated early rounds
+// are not penalized.
 // Quiescence is a live-agent counter maintained at worklist compaction —
 // O(1) per round instead of an O(n + m) scan.
 //
@@ -115,50 +101,26 @@ namespace detail {
 
 /// Per-direction mailbox: one slot per network link, flat over the CSR
 /// positions of the receiving side, double-buffered (current / next).
-/// Carries both physical layouts; Engine sizes only the one selected by
-/// Options::layout and the other's arrays stay empty.
 template <class M>
 struct Mailbox {
   std::vector<M> current, next;
-
-  // --- kEpochArena: packed stamp + bit-size metadata lane --------------
-  // meta[s] = uint32 epoch stamp (low half) | uint32 bit size << 32. A
-  // slot is present iff its stamp equals the buffer's epoch; epochs
-  // start at 1 so zero-initialized metadata means "empty". Retiring a
-  // buffer is ++epoch; on uint32 wrap-around the metadata is re-zeroed
-  // once (every ~4 billion rounds) so a stale stamp can never collide
-  // with a reused epoch value. Packing keeps the bit size on the same
-  // cache line as the stamp it belongs to: a send is one payload store
-  // plus one metadata store, matching the legacy layout's touch count.
-  std::vector<std::uint64_t> current_meta, next_meta;
-  std::uint32_t current_epoch = 1, next_epoch = 1;
-
-  // --- kLegacyBytes: byte presence flags, wiped on every swap ----------
+  // Presence flags, wiped on every swap.
   std::vector<std::uint8_t> current_present, next_present;
 
-  // Ascending receiver-slot record of the buffer's sends. The epoch
-  // layout fills next_dirty with the merge of per-shard sorted runs and
-  // consumes it at accounting (clearing needs no record); the legacy
-  // layout concatenates unsorted, sorts inside sparse accounting, and
-  // reuses the retired side's list (current_dirty after the swap) for
-  // the targeted sparse wipe.
+  // Receiver-slot record of the buffer's sends: concatenated unsorted
+  // from the shards, sorted inside sparse accounting, and reused on the
+  // retired side (current_dirty after the swap) for the targeted wipe.
   std::vector<std::uint32_t> current_dirty, next_dirty;
   // True iff the matching dirty list is a complete record of the sends.
   // Saturated rounds skip recording (the dense fallback neither needs
   // nor wants it), flipping this off for one cycle.
   bool current_tracked = true, next_tracked = true;
 
-  void init(std::size_t links, MailboxLayout layout) {
+  void init(std::size_t links) {
     current.resize(links);
     next.resize(links);
-    if (layout == MailboxLayout::kEpochArena) {
-      current_meta.assign(links, 0);
-      next_meta.assign(links, 0);
-      current_epoch = next_epoch = 1;
-    } else {
-      current_present.assign(links, 0);
-      next_present.assign(links, 0);
-    }
+    current_present.assign(links, 0);
+    next_present.assign(links, 0);
     current_dirty.clear();
     next_dirty.clear();
     current_tracked = next_tracked = true;  // empty mailboxes, empty lists
@@ -166,10 +128,10 @@ struct Mailbox {
 };
 
 /// Zero-copy view of one agent's incoming mailbox slots — the contiguous
-/// arena segment [base, base + fan) of the receiver-side CSR. Protocols
-/// grab one per step (`ctx.inbox()`), which hoists the slot-base math
-/// and the layout dispatch out of their per-link read loops: `get(k)` is
-/// a single stamp/presence load off cached pointers, and range-for
+/// segment [base, base + fan) of the receiver-side CSR. Protocols grab
+/// one per step (`ctx.inbox()`), which hoists the slot-base math out of
+/// their per-link read loops: `get(k)` is a single presence load off
+/// cached pointers, and range-for
 /// iterates only the present entries in ascending local order.
 template <class M>
 class Inbox {
@@ -205,8 +167,7 @@ class Inbox {
   [[nodiscard]] std::uint32_t size() const noexcept { return fan_; }
   /// True iff the incident link `local` carried a message last round.
   [[nodiscard]] bool present(std::uint32_t local) const noexcept {
-    return meta_ ? static_cast<std::uint32_t>(meta_[local]) == epoch_
-                 : present_[local] != 0;
+    return present_[local] != 0;
   }
   /// Message from incident link `local` sent last round, or nullptr.
   [[nodiscard]] const M* get(std::uint32_t local) const noexcept {
@@ -216,18 +177,14 @@ class Inbox {
   [[nodiscard]] iterator end() const noexcept { return iterator(this, fan_); }
 
   // Constructed by Engine::make_inbox; the pointers alias the engine's
-  // arena segment for one agent and stay valid for the current round.
-  Inbox(const M* msgs, const std::uint64_t* meta,
-        const std::uint8_t* present, std::uint32_t epoch,
+  // mailbox segment for one agent and stay valid for the current round.
+  Inbox(const M* msgs, const std::uint8_t* present,
         std::uint32_t fan) noexcept
-      : msgs_(msgs), meta_(meta), present_(present), epoch_(epoch),
-        fan_(fan) {}
+      : msgs_(msgs), present_(present), fan_(fan) {}
 
  private:
   const M* msgs_;
-  const std::uint64_t* meta_;    // kEpochArena, else nullptr
-  const std::uint8_t* present_;  // kLegacyBytes, else nullptr
-  std::uint32_t epoch_;
+  const std::uint8_t* present_;
   std::uint32_t fan_;
 };
 
@@ -346,16 +303,15 @@ class Engine {
   /// The graph must outlive the engine. Agents are value-constructed;
   /// protocols initialize them via a set-up pass or first-round logic.
   Engine(const hg::Hypergraph& graph, Options options = {})
-      : graph_(&graph), options_(options),
-        epoch_layout_(options.layout == MailboxLayout::kEpochArena) {
+      : graph_(&graph), options_(options) {
     // Dirty-slot entries are uint32 (halving their cache traffic); the
     // hgb wire format already bounds incidence counts the same way.
     assert(graph.num_incidences() <=
            std::numeric_limits<std::uint32_t>::max());
     vertex_agents_.resize(graph.num_vertices());
     edge_agents_.resize(graph.num_edges());
-    to_edge_.init(graph.num_incidences(), options_.layout);
-    to_vertex_.init(graph.num_incidences(), options_.layout);
+    to_edge_.init(graph.num_incidences());
+    to_vertex_.init(graph.num_incidences());
     build_slot_bases();
     if (options_.pool != nullptr) {
       // External-pool mode: run rounds on the borrowed pool (its size
@@ -512,12 +468,11 @@ class Engine {
     drop(to_edge_.next_dirty);
     drop(to_vertex_.current_dirty);
     drop(to_vertex_.next_dirty);
-    // Under the legacy layout current_dirty was the pending wipe record
-    // for the current buffer; dropping it demands a full wipe when that
-    // buffer retires, or stale presence bytes would survive.
+    // current_dirty was the pending wipe record for the current buffer;
+    // dropping it demands a full wipe when that buffer retires, or stale
+    // presence bytes would survive.
     to_edge_.current_tracked = false;
     to_vertex_.current_tracked = false;
-    drop(merge_cursor_);
   }
 
   /// Bytes currently reserved by the round-scoped scratch structures
@@ -543,22 +498,12 @@ class Engine {
     return bytes;
   }
 
-  /// Test hook: jumps every buffer epoch to `epoch` (stamps untouched) so
-  /// tests can drive the uint32 epoch wrap without 2^32 real rounds. Only
-  /// valid on a fresh kEpochArena engine (no round stepped: all stamps
-  /// are 0, so any nonzero epoch still reads as "empty").
-  void debug_set_epochs(std::uint32_t epoch) {
-    assert(epoch_layout_ && round_ == 0 && epoch != 0);
-    to_edge_.current_epoch = to_edge_.next_epoch = epoch;
-    to_vertex_.current_epoch = to_vertex_.next_epoch = epoch;
-  }
-
  private:
   friend class VertexCtx;
   friend class EdgeCtx;
 
   /// Accounting goes sparse when set slots * kSparseFactor < links; the
-  /// dense scan costs one pass over the stamp/presence lane, the sparse
+  /// dense scan costs one pass over the presence bytes, the sparse
   /// path one scattered access per message.
   static constexpr std::size_t kSparseFactor = 8;
   /// Dirty-slot recording starts once live agents drop below 1/kRecordFactor
@@ -582,22 +527,15 @@ class Engine {
   template <class M>
   [[nodiscard]] bool slot_present(const detail::Mailbox<M>& buf,
                                   std::size_t slot) const noexcept {
-    return epoch_layout_ ? static_cast<std::uint32_t>(
-                               buf.current_meta[slot]) == buf.current_epoch
-                         : buf.current_present[slot] != 0;
+    return buf.current_present[slot] != 0;
   }
 
   template <class M>
   [[nodiscard]] detail::Inbox<M> make_inbox(const detail::Mailbox<M>& buf,
                                             std::size_t base,
                                             std::uint32_t fan) const noexcept {
-    if (epoch_layout_) {
-      return detail::Inbox<M>(buf.current.data() + base,
-                              buf.current_meta.data() + base, nullptr,
-                              buf.current_epoch, fan);
-    }
-    return detail::Inbox<M>(buf.current.data() + base, nullptr,
-                            buf.current_present.data() + base, 0, fan);
+    return detail::Inbox<M>(buf.current.data() + base,
+                            buf.current_present.data() + base, fan);
   }
 
   void build_slot_bases() {
@@ -665,10 +603,6 @@ class Engine {
 
   /// Steps one shard's worklists and compacts them in place: an agent that
   /// halts during its step is dropped, preserving ascending id order.
-  /// Under the epoch-arena layout a recording shard also sorts its own
-  /// dirty runs here, inside the parallel phase — fold_scratch then only
-  /// needs a linear merge where the legacy layout pays a global sort on
-  /// the accounting thread.
   void step_shard(unsigned s) {
     detail::ShardScratch& sc = scratch_[s];
     auto& vw = vertex_work_[s];
@@ -697,10 +631,6 @@ class Engine {
       if (!a.halted()) ew[out++] = e;
     }
     ew.resize(out);
-    if (epoch_layout_ && recording_) {
-      std::sort(sc.to_edge_dirty.begin(), sc.to_edge_dirty.end());
-      std::sort(sc.to_vertex_dirty.begin(), sc.to_vertex_dirty.end());
-    }
   }
 
   /// Runs all shards, on as many workers as the live-agent count merits.
@@ -726,70 +656,23 @@ class Engine {
 
   /// Merges per-shard dirty lists and work counters, in shard order, on
   /// the calling thread — the single deterministic point between the
-  /// parallel step phase and accounting. The epoch-arena layout merges
-  /// the shards' already-sorted runs into one ascending list (linear);
-  /// the legacy layout concatenates unsorted and defers to the global
-  /// sort inside sparse accounting, exactly as before.
+  /// parallel step phase and accounting. The dirty lists are concatenated
+  /// unsorted; sparse accounting sorts them.
   void fold_scratch() {
-    if (epoch_layout_ && recording_) {
-      merge_dirty_runs(&detail::ShardScratch::to_edge_dirty,
-                       to_edge_.next_dirty);
-      merge_dirty_runs(&detail::ShardScratch::to_vertex_dirty,
-                       to_vertex_.next_dirty);
-    }
     for (auto& sc : scratch_) {
-      if (!epoch_layout_) {
-        to_edge_.next_dirty.insert(to_edge_.next_dirty.end(),
-                                   sc.to_edge_dirty.begin(),
-                                   sc.to_edge_dirty.end());
-        sc.to_edge_dirty.clear();
-        to_vertex_.next_dirty.insert(to_vertex_.next_dirty.end(),
-                                     sc.to_vertex_dirty.begin(),
-                                     sc.to_vertex_dirty.end());
-        sc.to_vertex_dirty.clear();
-      }
+      to_edge_.next_dirty.insert(to_edge_.next_dirty.end(),
+                                 sc.to_edge_dirty.begin(),
+                                 sc.to_edge_dirty.end());
+      sc.to_edge_dirty.clear();
+      to_vertex_.next_dirty.insert(to_vertex_.next_dirty.end(),
+                                   sc.to_vertex_dirty.begin(),
+                                   sc.to_vertex_dirty.end());
+      sc.to_vertex_dirty.clear();
       stats_.agents_visited += sc.agents_visited;
       sc.agents_visited = 0;
       stats_.agent_steps += sc.agent_steps;
       sc.agent_steps = 0;
     }
-  }
-
-  /// Linear multi-way merge of the shards' ascending dirty runs into
-  /// `out`, replacing the legacy global sort. Slot values are unique
-  /// across shards (one sender per link per round), so the runs are
-  /// disjoint and the merge order is fully determined by the values —
-  /// the result equals what sorting the concatenation would produce.
-  void merge_dirty_runs(std::vector<std::uint32_t> detail::ShardScratch::*run,
-                        std::vector<std::uint32_t>& out) {
-    const std::size_t shards = scratch_.size();
-    if (shards == 1) {
-      auto& only = scratch_[0].*run;
-      out.insert(out.end(), only.begin(), only.end());
-      only.clear();
-      return;
-    }
-    merge_cursor_.assign(shards, 0);
-    std::size_t remaining = 0;
-    for (const auto& sc : scratch_) remaining += (sc.*run).size();
-    out.reserve(out.size() + remaining);
-    while (remaining > 0) {
-      std::size_t best = shards;
-      std::uint32_t best_slot = 0;
-      for (std::size_t s = 0; s < shards; ++s) {
-        const auto& list = scratch_[s].*run;
-        const std::size_t c = merge_cursor_[s];
-        if (c >= list.size()) continue;
-        if (best == shards || list[c] < best_slot) {
-          best = s;
-          best_slot = list[c];
-        }
-      }
-      out.push_back(best_slot);
-      ++merge_cursor_[best];
-      --remaining;
-    }
-    for (auto& sc : scratch_) (sc.*run).clear();
   }
 
   void refresh_live_count() {
@@ -860,39 +743,18 @@ class Engine {
   void send_to_edge(detail::ShardScratch* sc, hg::VertexId v,
                     std::uint32_t local, const VertexMsg& msg) {
     const std::uint32_t slot = v_send_slot_[vertex_slot_base_[v] + local];
-    if (epoch_layout_) {
-      assert(static_cast<std::uint32_t>(to_edge_.next_meta[slot]) !=
-                 to_edge_.next_epoch &&
-             "one message per link per round");
-      to_edge_.next[slot] = msg;
-      to_edge_.next_meta[slot] =
-          std::uint64_t{to_edge_.next_epoch} |
-          (std::uint64_t{msg.bit_size()} << 32);
-    } else {
-      assert(!to_edge_.next_present[slot] && "one message per link per round");
-      to_edge_.next[slot] = msg;
-      to_edge_.next_present[slot] = 1;
-    }
+    assert(!to_edge_.next_present[slot] && "one message per link per round");
+    to_edge_.next[slot] = msg;
+    to_edge_.next_present[slot] = 1;
     if (sc) sc->to_edge_dirty.push_back(slot);
   }
 
   void send_to_vertex(detail::ShardScratch* sc, hg::EdgeId e,
                       std::uint32_t local, const EdgeMsg& msg) {
     const std::uint32_t slot = e_send_slot_[edge_slot_base_[e] + local];
-    if (epoch_layout_) {
-      assert(static_cast<std::uint32_t>(to_vertex_.next_meta[slot]) !=
-                 to_vertex_.next_epoch &&
-             "one message per link per round");
-      to_vertex_.next[slot] = msg;
-      to_vertex_.next_meta[slot] =
-          std::uint64_t{to_vertex_.next_epoch} |
-          (std::uint64_t{msg.bit_size()} << 32);
-    } else {
-      assert(!to_vertex_.next_present[slot] &&
-             "one message per link per round");
-      to_vertex_.next[slot] = msg;
-      to_vertex_.next_present[slot] = 1;
-    }
+    assert(!to_vertex_.next_present[slot] && "one message per link per round");
+    to_vertex_.next[slot] = msg;
+    to_vertex_.next_present[slot] = 1;
     if (sc) sc->to_vertex_dirty.push_back(slot);
   }
 
@@ -903,28 +765,16 @@ class Engine {
   /// the agents step, so totals and the transcript hash never depend on
   /// agent scheduling. Sparse rounds visit the ascending dirty-slot list —
   /// the same ascending set of slots the dense scan would find, so the
-  /// transcript hash is independent of which path (and which layout) ran.
+  /// transcript hash is independent of which path ran.
   template <class M>
   void account_links(detail::Mailbox<M>& buf, std::uint64_t key_bit) {
     const std::size_t links = graph_->num_incidences();
     auto& dirty = buf.next_dirty;
     if (buf.next_tracked && dirty.size() * kSparseFactor < links) {
-      if (epoch_layout_) {
-        // Already ascending (per-shard sorted runs, linearly merged).
-        assert(std::is_sorted(dirty.begin(), dirty.end()));
-        const std::uint64_t* meta = buf.next_meta.data();
-        for (const std::uint32_t slot : dirty) {
-          assert(static_cast<std::uint32_t>(meta[slot]) == buf.next_epoch);
-          account(static_cast<std::uint32_t>(meta[slot] >> 32),
-                  std::uint64_t{slot} * 2 + key_bit);
-        }
-      } else {
-        std::sort(dirty.begin(), dirty.end());
-        for (const std::uint32_t slot : dirty) {
-          assert(buf.next_present[slot]);
-          account(buf.next[slot].bit_size(),
-                  std::uint64_t{slot} * 2 + key_bit);
-        }
+      std::sort(dirty.begin(), dirty.end());
+      for (const std::uint32_t slot : dirty) {
+        assert(buf.next_present[slot]);
+        account(buf.next[slot].bit_size(), std::uint64_t{slot} * 2 + key_bit);
       }
       stats_.slots_processed += dirty.size();
       ++stats_.sparse_account_passes;
@@ -932,10 +782,6 @@ class Engine {
     }
     ++stats_.dense_account_passes;
     stats_.slots_processed += links;
-    if (epoch_layout_) {
-      account_dense_epoch(buf, key_bit, links);
-      return;
-    }
     const std::uint8_t* present = buf.next_present.data();
     std::size_t slot = 0;
     for (; slot + 8 <= links; slot += 8) {
@@ -956,86 +802,17 @@ class Engine {
     }
   }
 
-  /// Saturated-round accounting over the metadata lane, blocked into
-  /// L1-sized chunks: phase 1 of each chunk is a pure branch-free
-  /// reduction over the contiguous words (messages, bits, max,
-  /// violations — vectorizable, no payload loads); phase 2 folds the
-  /// transcript hash over the same — now cache-hot — chunk, visiting
-  /// present slots in the same ascending order the per-slot account()
-  /// calls would have used, so the hash is bit-identical to the legacy
-  /// path while the lane is traversed from memory only once.
-  template <class M>
-  void account_dense_epoch(detail::Mailbox<M>& buf, std::uint64_t key_bit,
-                           std::size_t links) {
-    constexpr std::size_t kChunk = 4096;  // 32 KiB of metadata per block
-    const std::uint64_t* meta = buf.next_meta.data();
-    const std::uint32_t epoch = buf.next_epoch;
-    const std::uint32_t limit = stats_.bandwidth_limit_bits;
-    std::uint64_t messages = 0, total_bits = 0, violations = 0;
-    std::uint32_t max_bits = 0;
-    std::uint64_t hash = stats_.transcript_hash;
-    const std::uint64_t round_key = std::uint64_t{round_} << 40;
-    for (std::size_t base = 0; base < links; base += kChunk) {
-      const std::size_t end = std::min(base + kChunk, links);
-      for (std::size_t s = base; s < end; ++s) {
-        const std::uint64_t w = meta[s];
-        const bool present = static_cast<std::uint32_t>(w) == epoch;
-        const std::uint32_t b =
-            present ? static_cast<std::uint32_t>(w >> 32) : 0;
-        messages += present;
-        total_bits += b;
-        max_bits = b > max_bits ? b : max_bits;
-        violations += b > limit;
-      }
-      for (std::size_t s = base; s < end; ++s) {
-        const std::uint64_t w = meta[s];
-        if (static_cast<std::uint32_t>(w) != epoch) continue;
-        hash = detail::mix_hash(
-            hash,
-            round_key ^ ((std::uint64_t{s} * 2 + key_bit) << 8) ^ (w >> 32));
-      }
-    }
-    stats_.transcript_hash = hash;
-    stats_.total_messages += messages;
-    stats_.total_bits += total_bits;
-    if (max_bits > stats_.max_message_bits) stats_.max_message_bits = max_bits;
-    stats_.bandwidth_violations += violations;
-    if (options_.keep_round_stats) {
-      auto& rs = stats_.per_round.back();
-      rs.messages += messages;
-      rs.bits += total_bits;
-      if (max_bits > rs.max_message_bits) rs.max_message_bits = max_bits;
-    }
-  }
-
   void account_round() {
     account_links(to_edge_, 0);
     account_links(to_vertex_, 1);
   }
 
-  /// Advances the double buffer and empties the retired side. Under the
-  /// epoch-arena layout that is one epoch increment — no slot is ever
-  /// written to clear it, dense or sparse. Under the legacy layout the
-  /// retired side's present bytes are wiped: a targeted sparse wipe when
-  /// its dirty list is a complete record, a full memset otherwise.
+  /// Advances the double buffer and wipes the retired side's present
+  /// bytes: a targeted sparse wipe when its dirty list is a complete
+  /// record, a full memset otherwise.
   template <class M>
   void swap_and_clear(detail::Mailbox<M>& buf) {
     buf.current.swap(buf.next);
-    if (epoch_layout_) {
-      buf.current_meta.swap(buf.next_meta);
-      std::swap(buf.current_epoch, buf.next_epoch);
-      // The retired buffer (now `next`) is emptied by advancing its
-      // epoch; stale stamps can only collide after a full uint32 wrap,
-      // at which point the metadata is re-zeroed once.
-      if (++buf.next_epoch == 0) {
-        std::fill(buf.next_meta.begin(), buf.next_meta.end(), 0);
-        buf.next_epoch = 1;
-      }
-      buf.next_dirty.clear();
-      buf.next_tracked = true;
-      ++stats_.epoch_clear_passes;
-      return;
-    }
     buf.current_present.swap(buf.next_present);
     buf.current_dirty.swap(buf.next_dirty);
     std::swap(buf.current_tracked, buf.next_tracked);
@@ -1075,7 +852,6 @@ class Engine {
 
   const hg::Hypergraph* graph_;
   Options options_;
-  const bool epoch_layout_;
   std::uint32_t round_ = 0;
   RunStats stats_;
   std::vector<VertexAgent> vertex_agents_;
@@ -1093,7 +869,6 @@ class Engine {
   std::vector<detail::ShardScratch> scratch_;  // per shard, both modes
   std::vector<std::vector<std::uint32_t>> vertex_work_;  // live ids, per shard
   std::vector<std::vector<std::uint32_t>> edge_work_;
-  std::vector<std::size_t> merge_cursor_;  // multi-way merge scratch
   bool frontier_built_ = false;
   bool recording_ = false;       // this round records dirty slots
   std::size_t live_agents_ = 0;  // maintained at worklist compaction

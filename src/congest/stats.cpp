@@ -16,7 +16,7 @@ std::ostream& operator<<(std::ostream& os, const RunStats& s) {
             << "+dense:" << s.dense_account_passes
             << " clear=" << s.clear_slots << " (sparse:"
             << s.sparse_clear_passes << "+dense:" << s.dense_clear_passes
-            << "+epoch:" << s.epoch_clear_passes << ")"
+            << ")"
             << " cycles/step="
             << (s.agent_steps > 0
                     ? static_cast<double>(s.step_cycles) /

@@ -51,24 +51,19 @@ struct RunStats {
   std::uint64_t agent_steps = 0;
   /// Mailbox slots touched by message accounting and presence clearing
   /// (dense passes count all links, sparse passes only the slots written
-  /// this round; epoch retirement under MailboxLayout::kEpochArena
-  /// contributes nothing — clearing a buffer is one integer increment).
+  /// this round).
   std::uint64_t slots_processed = 0;
   /// Accounting passes served by the sorted dirty-slot list vs the dense
   /// scan (two passes per round, one per direction).
   std::uint64_t sparse_account_passes = 0;
   std::uint64_t dense_account_passes = 0;
   /// Mailbox slots written by presence *clearing* alone (a subset of
-  /// slots_processed). Non-zero only under MailboxLayout::kLegacyBytes:
-  /// the epoch-arena layout retires a buffer by bumping its epoch and
-  /// never writes a slot to clear it.
+  /// slots_processed).
   std::uint64_t clear_slots = 0;
-  /// Clearing decisions, one per retired buffer (two per round): the
-  /// legacy layout picks a targeted sparse wipe or a full memset; the
-  /// epoch-arena layout always takes the O(1) epoch retirement.
+  /// Clearing decisions, one per retired buffer (two per round): a
+  /// targeted sparse wipe of the recorded slots or a full memset.
   std::uint64_t sparse_clear_passes = 0;
   std::uint64_t dense_clear_passes = 0;
-  std::uint64_t epoch_clear_passes = 0;
   /// CPU timestamp-counter ticks (congest::cycle_now) spent in the
   /// agent-stepping phase, summed over rounds. A wall-clock-like work
   /// metric — NOT deterministic, never part of the transcript hash;
@@ -93,28 +88,6 @@ enum class Scheduling : std::uint8_t {
   kDense,
 };
 
-/// Physical representation of the per-link mailboxes. Both layouts run
-/// the same protocol and produce bit-identical transcripts, duals, and
-/// covers — only the engine's memory traffic differs (RunStats work
-/// counters, clear_slots in particular, tell them apart).
-enum class MailboxLayout : std::uint8_t {
-  /// SoA mailbox arenas (default): a message payload array plus a
-  /// metadata array over the receiver-side CSR, each metadata word
-  /// packing the slot's uint32 epoch stamp with its uint32 bit size. A
-  /// slot is present iff its stamp equals the buffer's epoch, so
-  /// retiring a round's buffer is a single epoch increment (zero slots
-  /// written), accounting reads bit sizes from the flat metadata lane
-  /// instead of scattered payloads, and sparse rounds merge per-shard
-  /// sorted dirty runs instead of globally sorting.
-  kEpochArena,
-  /// The PR 2–6 layout: uint8 presence bytes wiped on every swap (memset
-  /// or targeted sparse wipe), bit sizes recomputed from the payloads at
-  /// accounting time, one global sort of the merged dirty list per
-  /// sparse pass. Kept as the A/B baseline benches and tests run the new
-  /// layout against.
-  kLegacyBytes,
-};
-
 /// Engine configuration.
 struct Options {
   /// Hard stop against non-terminating protocols.
@@ -133,9 +106,6 @@ struct Options {
   /// Activity-driven (default) vs reference dense execution; both are
   /// bit-identical in every protocol-observable quantity.
   Scheduling scheduling = Scheduling::kActive;
-  /// Mailbox storage layout (orthogonal to `scheduling`; also
-  /// bit-identical in every protocol-observable quantity).
-  MailboxLayout layout = MailboxLayout::kEpochArena;
   /// External-pool mode: a borrowed worker pool the engine dispatches its
   /// rounds on instead of constructing one of its own. Non-owning; the
   /// pool must outlive the engine, and `threads` is ignored (the pool's

@@ -1,13 +1,11 @@
 #include "core/mwhvc.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 
 #include "congest/engine.hpp"
-#include "congest/thread_pool.hpp"
 
 namespace hypercover::core {
 
@@ -275,50 +273,6 @@ MwhvcResult solve_mwhvc(const hg::Hypergraph& g, const MwhvcOptions& opts) {
   MwhvcRun run(g, opts);
   api::drive(run);
   return run.finish_result();
-}
-
-std::vector<MwhvcResult> solve_mwhvc_batch(std::span<const MwhvcBatchJob> jobs,
-                                           std::uint32_t threads) {
-  std::vector<MwhvcResult> results(jobs.size());
-  std::vector<std::exception_ptr> errors(jobs.size());
-  const unsigned workers = std::min<std::size_t>(
-      resolve_thread_count(threads), std::max<std::size_t>(jobs.size(), 1));
-  congest::ThreadPool pool(workers);
-  std::atomic<std::size_t> cursor{0};
-  pool.run([&](unsigned) {
-    for (;;) {
-      const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
-        if (jobs[i].graph == nullptr) {
-          throw std::invalid_argument("solve_mwhvc_batch: null graph");
-        }
-        MwhvcOptions opts = jobs[i].opts;
-        opts.engine.threads = 1;     // parallelism is across jobs
-        opts.engine.pool = nullptr;  // concurrent engines must not share one
-        results[i] = solve_mwhvc(*jobs[i].graph, opts);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  });
-  for (auto& err : errors) {
-    if (err) std::rethrow_exception(err);
-  }
-  return results;
-}
-
-std::vector<MwhvcResult> solve_mwhvc_sweep(const hg::Hypergraph& g,
-                                           std::span<const double> epsilons,
-                                           const MwhvcOptions& base,
-                                           std::uint32_t threads) {
-  std::vector<MwhvcBatchJob> jobs(epsilons.size());
-  for (std::size_t i = 0; i < epsilons.size(); ++i) {
-    jobs[i].graph = &g;
-    jobs[i].opts = base;
-    jobs[i].opts.eps = epsilons[i];
-  }
-  return solve_mwhvc_batch(jobs, threads);
 }
 
 double f_approx_epsilon(const hg::Hypergraph& g) {

@@ -8,7 +8,6 @@
 // counters) that the benches report.
 
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -122,32 +121,5 @@ class MwhvcRun final : public api::ProtocolRun {
 /// The eps of Corollary 10: eps = 1/(nW) turns the (f+eps) guarantee into
 /// a clean f-approximation for integral weights. Clamped to (0, 1].
 [[nodiscard]] double f_approx_epsilon(const hg::Hypergraph& g);
-
-// ---------------------------------------------------------------------------
-// Batch solving: many independent instances stepped concurrently on one
-// worker pool. This is the throughput-oriented companion of the sharded
-// engine — the eps-sweep and ILP-pipeline workloads run dozens of
-// independent solves whose natural parallelism is across instances, not
-// within a round. Each result is bit-identical to a standalone
-// solve_mwhvc call with the same (graph, options).
-// ---------------------------------------------------------------------------
-
-struct MwhvcBatchJob {
-  const hg::Hypergraph* graph = nullptr;  ///< must outlive the batch call
-  MwhvcOptions opts;
-};
-
-/// Solves every job, using up to `threads` workers across jobs (0 = one per
-/// hardware thread). Jobs run with a sequential engine internally to avoid
-/// oversubscription. Results are returned in job order; the first exception
-/// thrown by any job (in job order) is rethrown after all jobs finish.
-[[nodiscard]] std::vector<MwhvcResult> solve_mwhvc_batch(
-    std::span<const MwhvcBatchJob> jobs, std::uint32_t threads = 0);
-
-/// Convenience wrapper for the eps-sweep workload: one graph, many eps.
-/// Equivalent to solve_mwhvc_batch over `base` with eps swapped per job.
-[[nodiscard]] std::vector<MwhvcResult> solve_mwhvc_sweep(
-    const hg::Hypergraph& g, std::span<const double> epsilons,
-    const MwhvcOptions& base = {}, std::uint32_t threads = 0);
 
 }  // namespace hypercover::core

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "congest/thread_pool.hpp"
 #include "util/math.hpp"
 
 namespace hypercover::core {
@@ -70,10 +69,6 @@ IterationBudget theorem8_budget(std::uint32_t f, double eps,
   const double per_level = appendix_c_variant ? 2.0 * alpha : alpha;
   b.stuck_budget = static_cast<double>(f) * z * per_level;
   return b;
-}
-
-std::uint32_t resolve_thread_count(std::uint32_t requested) noexcept {
-  return congest::ThreadPool::resolve(requested);
 }
 
 }  // namespace hypercover::core

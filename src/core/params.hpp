@@ -56,11 +56,4 @@ struct IterationBudget {
                                               std::uint32_t delta, double alpha,
                                               bool appendix_c_variant);
 
-/// Resolves a requested worker count (MwhvcOptions::engine.threads, batch
-/// APIs): 0 means one worker per hardware thread, anything else passes
-/// through. Always returns >= 1. Thread count never affects results — the
-/// engine is bit-deterministic at any value — only wall-clock time.
-[[nodiscard]] std::uint32_t resolve_thread_count(
-    std::uint32_t requested) noexcept;
-
 }  // namespace hypercover::core

@@ -77,7 +77,6 @@ void accumulate(ServerStats& total, const ServerStats& s) {
   total.engine_clear_slots += s.engine_clear_slots;
   total.engine_sparse_clear_passes += s.engine_sparse_clear_passes;
   total.engine_dense_clear_passes += s.engine_dense_clear_passes;
-  total.engine_epoch_clear_passes += s.engine_epoch_clear_passes;
 }
 
 }  // namespace

@@ -81,8 +81,7 @@ struct SolveServer::Impl {
   // (cache hits ran no engine and contribute nothing).
   std::atomic<std::uint64_t> engine_rounds{0}, engine_agent_steps{0},
       engine_step_cycles{0}, engine_slots_processed{0}, engine_clear_slots{0},
-      engine_sparse_clear_passes{0}, engine_dense_clear_passes{0},
-      engine_epoch_clear_passes{0};
+      engine_sparse_clear_passes{0}, engine_dense_clear_passes{0};
   // Admission state: dispatched-but-unfinished jobs and the graph bytes
   // they hold. Updated with a mutex (two quantities must move together
   // and be compared against two limits atomically).
@@ -150,8 +149,6 @@ struct SolveServer::Impl {
         engine_sparse_clear_passes.load(std::memory_order_relaxed);
     s.engine_dense_clear_passes =
         engine_dense_clear_passes.load(std::memory_order_relaxed);
-    s.engine_epoch_clear_passes =
-        engine_epoch_clear_passes.load(std::memory_order_relaxed);
     return s;
   }
 
@@ -429,8 +426,6 @@ struct SolveServer::Impl {
     engine_sparse_clear_passes.fetch_add(net.sparse_clear_passes,
                                          std::memory_order_relaxed);
     engine_dense_clear_passes.fetch_add(net.dense_clear_passes,
-                                        std::memory_order_relaxed);
-    engine_epoch_clear_passes.fetch_add(net.epoch_clear_passes,
                                         std::memory_order_relaxed);
     m_rounds_per_solve.observe(net.rounds);
     auto shared = std::make_shared<const api::Solution>(std::move(sol));

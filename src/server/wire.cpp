@@ -383,7 +383,6 @@ void encode_stats(PayloadWriter& w, const ServerStats& s) {
   w.u64(s.engine_clear_slots);
   w.u64(s.engine_sparse_clear_passes);
   w.u64(s.engine_dense_clear_passes);
-  w.u64(s.engine_epoch_clear_passes);
 }
 
 ServerStats decode_stats(PayloadReader& r) {
@@ -408,7 +407,6 @@ ServerStats decode_stats(PayloadReader& r) {
   s.engine_clear_slots = r.u64();
   s.engine_sparse_clear_passes = r.u64();
   s.engine_dense_clear_passes = r.u64();
-  s.engine_epoch_clear_passes = r.u64();
   return s;
 }
 

@@ -249,8 +249,8 @@ struct ServerStats {
   // Cumulative engine work across cold solves (cache hits ran no engine),
   // summed from each Solution's RunStats (protocol v3). engine_step_cycles
   // over engine_agent_steps is the server's cycles-per-agent-step;
-  // engine_clear_slots stays 0 while the epoch-arena mailbox layout is in
-  // use (presence clearing writes no slots there).
+  // engine_clear_slots counts the presence bytes wiped when mailbox
+  // buffers retire (sparse wipes plus full memsets).
   std::uint64_t engine_rounds = 0;
   std::uint64_t engine_agent_steps = 0;
   std::uint64_t engine_step_cycles = 0;
@@ -258,7 +258,6 @@ struct ServerStats {
   std::uint64_t engine_clear_slots = 0;
   std::uint64_t engine_sparse_clear_passes = 0;
   std::uint64_t engine_dense_clear_passes = 0;
-  std::uint64_t engine_epoch_clear_passes = 0;
 };
 
 void encode_stats(PayloadWriter& w, const ServerStats& s);

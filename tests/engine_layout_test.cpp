@@ -1,13 +1,12 @@
-// Equivalence and golden-digest tests for the mailbox memory layouts:
-// MailboxLayout::kEpochArena (packed epoch-stamp + bit-size metadata
-// lane, O(1) clearing, per-shard sorted dirty runs) must be invisible to
-// every protocol — bit-identical transcripts, covers, and duals against
-// MailboxLayout::kLegacyBytes at every thread count and scheduling mode.
+// Golden-digest and lock-step tests for the engine's byte-presence
+// mailboxes: every protocol must keep its historical transcripts, covers,
+// and duals at every thread count and scheduling mode, and an engine
+// stepped again after run() released its round memory must continue
+// bit-identically.
 //
-// The golden table below was captured from the pre-arena engine (byte
-// presence, global sort, payload-side bit sizes) and locks both layouts
-// to the historical transcripts: a layout change that reorders or drops
-// a single message fails 30 rows at once.
+// The golden table below locks every registry algorithm to the
+// historical transcripts: an engine change that reorders or drops a
+// single message fails 30 rows at once.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 
 #include "api/registry.hpp"
 #include "congest/engine.hpp"
-#include "core/mwhvc.hpp"
 #include "hypergraph/generators.hpp"
 #include "hypergraph/weights.hpp"
 #include "util/math.hpp"
@@ -26,10 +24,9 @@
 namespace hypercover {
 namespace {
 
-using congest::MailboxLayout;
 using congest::Scheduling;
 
-// --- golden digests against the pre-arena engine ---------------------------
+// --- golden digests -------------------------------------------------------
 
 /// Folds a solution into one word the same way the capture program did:
 /// transcript, cover weight, cover bitmap, then raw dual bits.
@@ -52,8 +49,7 @@ struct GoldenRow {
   std::uint64_t digest;
 };
 
-// Captured from main before the epoch-arena layout landed (eps = 0.5,
-// default options). The sequential baselines (greedy, local-ratio) never
+// Captured from the byte-presence engine (eps = 0.5, default options). The sequential baselines (greedy, local-ratio) never
 // enter the engine, so their transcript is 0 but their digest still locks
 // cover + duals.
 constexpr GoldenRow kGolden[] = {
@@ -131,75 +127,16 @@ const GoldenRow& golden_row(const char* family, std::string_view algo) {
   return missing;
 }
 
-TEST(EngineLayoutGolden, EveryAlgorithmMatchesPreArenaDigests) {
+TEST(EngineLayoutGolden, EveryAlgorithmMatchesGoldenDigests) {
   for (const Family& fam : golden_families()) {
     for (const api::Solver& solver : api::solvers()) {
       const GoldenRow& want = golden_row(fam.name, solver.name);
-      for (const MailboxLayout layout :
-           {MailboxLayout::kEpochArena, MailboxLayout::kLegacyBytes}) {
-        SCOPED_TRACE(std::string(fam.name) + "/" + std::string(solver.name) +
-                     (layout == MailboxLayout::kEpochArena ? " epoch"
-                                                           : " legacy"));
-        api::SolveRequest req;
-        req.eps = 0.5;
-        req.engine.layout = layout;
-        const api::Solution sol = api::solve(solver.name, fam.graph, req);
-        EXPECT_EQ(sol.net.transcript_hash, want.transcript);
-        EXPECT_EQ(result_digest(sol), want.digest);
-      }
-    }
-  }
-}
-
-// --- MWHVC layout lock-step ------------------------------------------------
-
-void expect_bit_identical(const core::MwhvcResult& a,
-                          const core::MwhvcResult& b) {
-  EXPECT_EQ(a.net.transcript_hash, b.net.transcript_hash);
-  EXPECT_EQ(a.net.total_messages, b.net.total_messages);
-  EXPECT_EQ(a.net.total_bits, b.net.total_bits);
-  EXPECT_EQ(a.net.rounds, b.net.rounds);
-  EXPECT_EQ(a.net.completed, b.net.completed);
-  EXPECT_EQ(a.iterations, b.iterations);
-  EXPECT_EQ(a.in_cover, b.in_cover);
-  EXPECT_EQ(a.cover_weight, b.cover_weight);
-  ASSERT_EQ(a.duals.size(), b.duals.size());
-  for (std::size_t e = 0; e < a.duals.size(); ++e) {
-    EXPECT_EQ(std::memcmp(&a.duals[e], &b.duals[e], sizeof(double)), 0)
-        << "dual " << e << " differs bitwise";
-  }
-}
-
-TEST(EngineLayout, MwhvcLockStepOldVsNewAcrossThreads) {
-  const auto g =
-      hg::random_uniform(150, 320, 3, hg::exponential_weights(10), 21);
-  core::MwhvcOptions ref_opts;
-  ref_opts.eps = 0.25;
-  ref_opts.engine.layout = MailboxLayout::kLegacyBytes;
-  for (const Scheduling sched : {Scheduling::kDense, Scheduling::kActive}) {
-    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE(std::string(sched == Scheduling::kDense ? "dense"
-                                                           : "active") +
-                   " threads=" + std::to_string(threads));
-      core::MwhvcOptions legacy_opts = ref_opts;
-      legacy_opts.engine.scheduling = sched;
-      legacy_opts.engine.threads = threads;
-      core::MwhvcOptions epoch_opts = legacy_opts;
-      epoch_opts.engine.layout = MailboxLayout::kEpochArena;
-      core::MwhvcRun legacy(g, legacy_opts);
-      core::MwhvcRun epoch(g, epoch_opts);
-      while (!legacy.done() &&
-             legacy.rounds() < legacy_opts.engine.max_rounds) {
-        legacy.step_round();
-        epoch.step_round();
-        ASSERT_EQ(epoch.stats().transcript_hash,
-                  legacy.stats().transcript_hash)
-            << "layouts diverged at round " << legacy.rounds();
-        ASSERT_EQ(epoch.stats().total_messages,
-                  legacy.stats().total_messages);
-      }
-      EXPECT_TRUE(epoch.done());
-      expect_bit_identical(epoch.finish_result(), legacy.finish_result());
+      SCOPED_TRACE(std::string(fam.name) + "/" + std::string(solver.name));
+      api::SolveRequest req;
+      req.eps = 0.5;
+      const api::Solution sol = api::solve(solver.name, fam.graph, req);
+      EXPECT_EQ(sol.net.transcript_hash, want.transcript);
+      EXPECT_EQ(result_digest(sol), want.digest);
     }
   }
 }
@@ -207,14 +144,13 @@ TEST(EngineLayout, MwhvcLockStepOldVsNewAcrossThreads) {
 // --- Oscillating saturated <-> sparse protocol -----------------------------
 //
 // Three rounds of all-agents broadcast (saturated: dense accounting, full
-// memset clears under the legacy layout), then the chorus (15/16 of the
-// vertices) halts and a beacon minority oscillates: every beacon sends on
-// even rounds, only every fourth beacon on odd rounds. Edges echo while
-// they keep hearing something and retire after two silent rounds. The
-// engine therefore flips between dense and sparse accounting — and, under
-// the legacy layout, between memset and targeted wipes — for the rest of
-// the run, which is exactly the regime the epoch stamps must survive with
-// a bit-identical transcript.
+// memset clears), then the chorus (15/16 of the vertices) halts and a
+// beacon minority oscillates: every beacon sends on even rounds, only
+// every fourth beacon on odd rounds. Edges echo while they keep hearing
+// something and retire after two silent rounds. The engine therefore
+// flips between dense and sparse accounting, and between memsets and
+// targeted wipes, for the rest of the run: a stale presence byte or a
+// misordered dirty slot changes the transcript.
 
 struct OscMsg {
   std::uint64_t value = 0;
@@ -282,34 +218,40 @@ struct OscProtocol {
 
 using OscEngine = congest::Engine<OscProtocol>;
 
-congest::Options osc_options(Scheduling sched, MailboxLayout layout,
-                             std::uint32_t threads) {
+congest::Options osc_options(Scheduling sched, std::uint32_t threads) {
   congest::Options opt;
   opt.scheduling = sched;
-  opt.layout = layout;
   opt.threads = threads;
   return opt;
+}
+
+/// Asserts every agent of `got` ended with the same accumulator as in
+/// `want`.
+void expect_same_agents(const OscEngine& got, const OscEngine& want,
+                        const hg::Hypergraph& g, const std::string& label) {
+  for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+    ASSERT_EQ(got.vertex_agent(v).acc, want.vertex_agent(v).acc)
+        << label << " vertex " << v;
+  }
+  for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(got.edge_agent(e).acc, want.edge_agent(e).acc)
+        << label << " edge " << e;
+  }
 }
 
 TEST(EngineLayout, OscillatingProtocolLockStepAcrossEverything) {
   const auto g =
       hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
-  OscEngine reference(
-      g, osc_options(Scheduling::kDense, MailboxLayout::kLegacyBytes, 1));
+  OscEngine reference(g, osc_options(Scheduling::kDense, 1));
   std::vector<std::unique_ptr<OscEngine>> variants;
   std::vector<std::string> labels;
   for (const Scheduling sched : {Scheduling::kDense, Scheduling::kActive}) {
-    for (const MailboxLayout layout :
-         {MailboxLayout::kEpochArena, MailboxLayout::kLegacyBytes}) {
-      for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-        variants.push_back(
-            std::make_unique<OscEngine>(g, osc_options(sched, layout,
-                                                       threads)));
-        labels.push_back(
-            std::string(sched == Scheduling::kDense ? "dense" : "active") +
-            (layout == MailboxLayout::kEpochArena ? "/epoch" : "/legacy") +
-            "/t" + std::to_string(threads));
-      }
+    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+      variants.push_back(
+          std::make_unique<OscEngine>(g, osc_options(sched, threads)));
+      labels.push_back(
+          std::string(sched == Scheduling::kDense ? "dense" : "active") +
+          "/t" + std::to_string(threads));
     }
   }
   while (!reference.all_halted()) {
@@ -326,63 +268,30 @@ TEST(EngineLayout, OscillatingProtocolLockStepAcrossEverything) {
   }
   for (std::size_t i = 0; i < variants.size(); ++i) {
     EXPECT_TRUE(variants[i]->all_halted()) << labels[i];
-    for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-      ASSERT_EQ(variants[i]->vertex_agent(v).acc,
-                reference.vertex_agent(v).acc)
-          << labels[i] << " vertex " << v;
-    }
-    for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
-      ASSERT_EQ(variants[i]->edge_agent(e).acc, reference.edge_agent(e).acc)
-          << labels[i] << " edge " << e;
-    }
+    expect_same_agents(*variants[i], reference, g, labels[i]);
   }
 }
 
 TEST(EngineLayout, OscillationExercisesBothAccountingAndClearPaths) {
   const auto g =
       hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
-  OscEngine epoch(
-      g, osc_options(Scheduling::kActive, MailboxLayout::kEpochArena, 1));
-  OscEngine legacy(
-      g, osc_options(Scheduling::kActive, MailboxLayout::kLegacyBytes, 1));
-  const auto se = epoch.run();
-  const auto sl = legacy.run();
-  EXPECT_EQ(se.transcript_hash, sl.transcript_hash);
-  // The protocol's density oscillation reached both accounting paths.
-  EXPECT_GT(se.dense_account_passes, 0u);
-  EXPECT_GT(se.sparse_account_passes, 0u);
-  EXPECT_GT(sl.dense_clear_passes, 0u);
-  EXPECT_GT(sl.sparse_clear_passes, 0u);
-  // Epoch retirement never writes a slot to clear it; the legacy layout
-  // pays a wipe for every message it ever parked.
-  EXPECT_EQ(se.clear_slots, 0u);
-  EXPECT_GT(se.epoch_clear_passes, 0u);
-  EXPECT_EQ(sl.epoch_clear_passes, 0u);
-  EXPECT_GT(sl.clear_slots, 0u);
-  EXPECT_LT(se.clear_slots, sl.clear_slots);
-  EXPECT_LT(se.slots_processed, sl.slots_processed);
-}
-
-// --- epoch wrap ------------------------------------------------------------
-
-TEST(EngineLayout, EpochWrapIsTransparent) {
-  const auto g =
-      hg::random_uniform(96, 200, 3, hg::exponential_weights(9), 43);
-  OscEngine normal(
-      g, osc_options(Scheduling::kActive, MailboxLayout::kEpochArena, 2));
-  OscEngine wrapping(
-      g, osc_options(Scheduling::kActive, MailboxLayout::kEpochArena, 2));
-  // Two retirements away from the uint32 wrap: the metadata lane is
-  // re-zeroed mid-run and stale stamps from before the wrap must never
-  // read as present afterwards.
-  wrapping.debug_set_epochs(0xFFFFFFFEu);
-  const auto a = normal.run();
-  const auto b = wrapping.run();
-  EXPECT_EQ(a.transcript_hash, b.transcript_hash);
-  EXPECT_EQ(a.total_messages, b.total_messages);
-  EXPECT_EQ(a.total_bits, b.total_bits);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_GT(a.rounds, 4u);  // the run actually crossed the wrap point
+  OscEngine active(g, osc_options(Scheduling::kActive, 1));
+  OscEngine dense(g, osc_options(Scheduling::kDense, 1));
+  const auto sa = active.run();
+  const auto sd = dense.run();
+  EXPECT_EQ(sa.transcript_hash, sd.transcript_hash);
+  // The protocol's density oscillation reached both accounting paths and
+  // both clearing paths.
+  EXPECT_GT(sa.dense_account_passes, 0u);
+  EXPECT_GT(sa.sparse_account_passes, 0u);
+  EXPECT_GT(sa.dense_clear_passes, 0u);
+  EXPECT_GT(sa.sparse_clear_passes, 0u);
+  // Dense scheduling records no sends, so it memsets every buffer that
+  // carried messages; active scheduling wipes only the recorded slots
+  // when sparse.
+  EXPECT_GT(sa.clear_slots, 0u);
+  EXPECT_LT(sa.clear_slots, sd.clear_slots);
+  EXPECT_LT(sa.slots_processed, sd.slots_processed);
 }
 
 // --- bounded round memory --------------------------------------------------
@@ -390,20 +299,58 @@ TEST(EngineLayout, EpochWrapIsTransparent) {
 TEST(EngineLayout, RunReleasesRoundScratchMemory) {
   const auto g =
       hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
-  for (const MailboxLayout layout :
-       {MailboxLayout::kEpochArena, MailboxLayout::kLegacyBytes}) {
-    SCOPED_TRACE(layout == MailboxLayout::kEpochArena ? "epoch" : "legacy");
-    OscEngine eng(g, osc_options(Scheduling::kActive, layout, 4));
-    eng.step_round();
-    eng.step_round();
-    eng.step_round();
-    // Mid-run the dirty lists and worklists hold their CSR-bounded
-    // reservations...
-    EXPECT_GT(eng.scratch_capacity_bytes(), 0u);
-    const auto stats = eng.run();
-    EXPECT_TRUE(stats.completed);
-    // ...and a finished run hands every byte of round scratch back.
-    EXPECT_EQ(eng.scratch_capacity_bytes(), 0u);
+  OscEngine eng(g, osc_options(Scheduling::kActive, 4));
+  eng.step_round();
+  eng.step_round();
+  eng.step_round();
+  // Mid-run the dirty lists and worklists hold their CSR-bounded
+  // reservations...
+  EXPECT_GT(eng.scratch_capacity_bytes(), 0u);
+  const auto stats = eng.run();
+  EXPECT_TRUE(stats.completed);
+  // ...and a finished run hands every byte of round scratch back.
+  EXPECT_EQ(eng.scratch_capacity_bytes(), 0u);
+}
+
+// run() releases the round memory on exit, including the retired
+// buffer's wipe record. Stepping the engine again must then wipe that
+// buffer in full when it retires, or its stale presence bytes read as
+// messages a round later. Stop after every round k — the saturated
+// prefix (k < 3) and the sparse phase, where the wipe record is live —
+// then step to quiescence and compare against an uninterrupted run. The
+// beacons' sends repeat with period 2, so stale bytes only surface when
+// the sends after the cut differ from those before it (around the
+// beacons' retirement at round 19); hence every k, not a sample.
+TEST(EngineLayout, SteppingResumesAfterRunReleasesRoundMemory) {
+  const auto g =
+      hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
+  for (const std::uint32_t threads : {1u, 4u}) {
+    OscEngine whole(g, osc_options(Scheduling::kActive, threads));
+    const auto want = whole.run();
+    ASSERT_TRUE(want.completed);
+    ASSERT_GT(want.rounds, 20u);
+    for (std::uint32_t k = 1; k < want.rounds; ++k) {
+      const std::string label =
+          "threads=" + std::to_string(threads) + " k=" + std::to_string(k);
+      congest::Options opt = osc_options(Scheduling::kActive, threads);
+      opt.max_rounds = k;
+      OscEngine resumed(g, opt);
+      const auto cut = resumed.run();
+      ASSERT_FALSE(cut.completed) << label;
+      ASSERT_EQ(cut.rounds, k) << label;
+      std::uint32_t rounds = k;  // bounded: stale messages can keep
+                                 // agents alive forever
+      while (!resumed.all_halted() && rounds < 2 * want.rounds) {
+        resumed.step_round();
+        ++rounds;
+      }
+      EXPECT_EQ(rounds, want.rounds) << label;
+      EXPECT_EQ(resumed.stats().transcript_hash, want.transcript_hash)
+          << label;
+      EXPECT_EQ(resumed.stats().total_messages, want.total_messages)
+          << label;
+      expect_same_agents(resumed, whole, g, label);
+    }
   }
 }
 

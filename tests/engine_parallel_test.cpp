@@ -2,7 +2,7 @@
 // the engine must produce the same per-round transcript digest and the same
 // bit-identical MwhvcResult as the sequential schedule, because accounting
 // runs in slot order after the agents step and agents never share mutable
-// state. Also covers the thread pool itself and the batch solver APIs.
+// state. Also covers the thread pool itself.
 
 #include <gtest/gtest.h>
 
@@ -59,7 +59,6 @@ TEST(ThreadPool, PropagatesWorkerExceptions) {
 TEST(ThreadPool, ResolveZeroMeansHardware) {
   EXPECT_GE(congest::ThreadPool::resolve(0), 1u);
   EXPECT_EQ(congest::ThreadPool::resolve(6), 6u);
-  EXPECT_EQ(core::resolve_thread_count(0), congest::ThreadPool::resolve(0));
 }
 
 // --- Lock-step per-round digest on a chatty toy protocol ------------------
@@ -219,45 +218,6 @@ TEST(EngineParallel, AppendixCVariantBitIdentical) {
   opts.engine.threads = 4;
   const auto par = core::solve_mwhvc(g, opts);
   expect_bit_identical(seq, par);
-}
-
-// --- Batch APIs -----------------------------------------------------------
-
-TEST(EngineParallel, BatchMatchesStandaloneSolves) {
-  const auto g1 = hg::random_uniform(90, 200, 3, hg::uniform_weights(30), 41);
-  const auto g2 = hg::hyper_star(32, 4, hg::exponential_weights(6), 42);
-  core::MwhvcOptions a, b;
-  a.eps = 0.5;
-  b.eps = 0.125;
-  const core::MwhvcBatchJob jobs[] = {{&g1, a}, {&g2, b}, {&g1, b}};
-  const auto batch = core::solve_mwhvc_batch(jobs, 4);
-  ASSERT_EQ(batch.size(), 3u);
-  expect_bit_identical(batch[0], core::solve_mwhvc(g1, a));
-  expect_bit_identical(batch[1], core::solve_mwhvc(g2, b));
-  expect_bit_identical(batch[2], core::solve_mwhvc(g1, b));
-}
-
-TEST(EngineParallel, SweepMatchesPerEpsSolves) {
-  const auto g = hg::random_uniform(100, 220, 3, hg::uniform_weights(40), 51);
-  const double epsilons[] = {1.0, 0.5, 0.25, 0.0625};
-  const auto sweep = core::solve_mwhvc_sweep(g, epsilons, {}, 3);
-  ASSERT_EQ(sweep.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    core::MwhvcOptions opts;
-    opts.eps = epsilons[i];
-    expect_bit_identical(sweep[i], core::solve_mwhvc(g, opts));
-  }
-}
-
-TEST(EngineParallel, BatchPropagatesJobErrors) {
-  const auto g = hg::random_uniform(20, 30, 2, hg::uniform_weights(5), 61);
-  core::MwhvcOptions bad;
-  bad.eps = -1.0;  // rejected by solve_mwhvc
-  const core::MwhvcBatchJob jobs[] = {{&g, {}}, {&g, bad}};
-  EXPECT_THROW((void)core::solve_mwhvc_batch(jobs, 2), std::invalid_argument);
-  const core::MwhvcBatchJob null_job[] = {{nullptr, {}}};
-  EXPECT_THROW((void)core::solve_mwhvc_batch(null_job, 2),
-               std::invalid_argument);
 }
 
 }  // namespace
