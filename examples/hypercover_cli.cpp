@@ -183,6 +183,7 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
   os << "  \"sparse_clear_passes\": " << net.sparse_clear_passes << ",\n";
   os << "  \"dense_clear_passes\": " << net.dense_clear_passes << ",\n";
   os << "  \"step_cycles\": " << net.step_cycles << ",\n";
+  os << "  \"account_cycles\": " << net.account_cycles << ",\n";
   os << "  \"cycles_per_agent_step\": "
      << json_number(net.agent_steps > 0
                         ? static_cast<double>(net.step_cycles) /

@@ -55,7 +55,7 @@ SOLVE_FIELDS = (
     "agents_visited", "agent_steps", "slots_processed",
     "sparse_account_passes", "dense_account_passes", "clear_slots",
     "sparse_clear_passes", "dense_clear_passes",
-    "step_cycles", "cycles_per_agent_step", "cover_weight",
+    "step_cycles", "account_cycles", "cycles_per_agent_step", "cover_weight",
     "cover_size", "dual_total", "certified_ratio", "certificate",
     "wall_ms",
 )

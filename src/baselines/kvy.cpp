@@ -23,9 +23,9 @@ std::uint32_t real_bits(double value) {
 enum class VTag : std::uint8_t { kCovered, kResid };
 
 struct VMsg {
-  VTag tag{VTag::kResid};
   double resid = 0;
   std::uint32_t degree = 0;
+  VTag tag{VTag::kResid};
   [[nodiscard]] std::uint32_t bit_size() const {
     if (tag == VTag::kResid) {
       return 2 + real_bits(resid) + util::bit_width_or_one(degree);
@@ -33,13 +33,14 @@ struct VMsg {
     return 2;
   }
 };
+static_assert(sizeof(VMsg) == 16);
 
 enum class ETag : std::uint8_t { kCovered, kBid };
 
 struct EMsg {
-  ETag tag{ETag::kBid};
   double min_resid = 0;
   std::uint32_t min_degree = 1;
+  ETag tag{ETag::kBid};
   [[nodiscard]] std::uint32_t bit_size() const {
     if (tag == ETag::kBid) {
       return 2 + real_bits(min_resid) + util::bit_width_or_one(min_degree);
@@ -47,6 +48,7 @@ struct EMsg {
     return 2;
   }
 };
+static_assert(sizeof(EMsg) == 16);
 
 struct Shared {
   const hg::Hypergraph* graph = nullptr;

@@ -32,24 +32,22 @@
 // any Options::threads value and either Options::scheduling mode.
 //
 // Mailbox layout: each direction's mailboxes are a payload array and a
-// uint8 presence array over the receiver-side CSR, double-buffered. A
-// send stores the payload and sets its presence byte; retiring a round's
-// buffer wipes the presence bytes — a targeted wipe of the recorded
-// slots on sparse rounds, one memset on saturated ones. Accounting reads
-// bit sizes from the payloads and visits slots in ascending order: a
-// word-at-a-time presence scan on saturated rounds, the sorted dirty-slot
-// list on sparse ones.
+// uint8 presence lane over the receiver-side CSR, double-buffered. A send
+// stores the payload and writes its bit size into the presence byte (1..254
+// exact, 255 = "present, reread the payload"), so a present slot is any
+// nonzero byte. Under kActive each shard also marks the 64-slot presence
+// lines it writes in a small per-direction bitmap; under kDense every line
+// counts as marked. Accounting walks the marked lines in ascending order
+// and the nonzero bytes of each line in ascending order, reading bit sizes
+// from the lane; retiring a buffer memsets the same lines.
 //
 // Activity-driven execution (Options::scheduling == kActive, the default):
 // protocols in this codebase halt agents progressively — covered edges and
 // tight vertices drop out within a few iterations — so the engine keeps
 // per-shard worklists of live agents, compacted in place (preserving
 // ascending id order) whenever an agent halts, and steps only the
-// worklists. Sends record their destination slot in a per-shard dirty
-// list; accounting sorts the concatenated lists and visits them in
-// ascending slot order. A per-round density heuristic falls back to the
-// dense scan when most links carry a message, so saturated early rounds
-// are not penalized.
+// worklists. Accounting and retirement then touch only the lines that
+// carried a message, so a sparse round costs O(live agents + lines hit).
 // Quiescence is a live-agent counter maintained at worklist compaction —
 // O(1) per round instead of an O(n + m) scan.
 //
@@ -74,6 +72,7 @@
 // engine, and two engines must not dispatch on it concurrently.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <concepts>
 #include <cstdint>
@@ -99,31 +98,59 @@ concept Message = std::is_trivially_copyable_v<M> && requires(const M m) {
 
 namespace detail {
 
+/// Slots per presence line: one line is one cache line of presence bytes
+/// and one bit of a line bitmap.
+inline constexpr std::size_t kLineSlots = 64;
+/// Presence byte of a message whose bit size is 0 or >= 255.
+inline constexpr std::uint8_t kLaneEscape = 255;
+
+/// The presence byte a send stores: the exact bit size when it is 1..254,
+/// else kLaneEscape (accounting rereads the payload).
+inline std::uint8_t lane(std::uint32_t bits) noexcept {
+  return bits - 1 < kLaneEscape - 1u ? static_cast<std::uint8_t>(bits)
+                                     : kLaneEscape;
+}
+
+/// Bit k set iff byte k of the presence line at `line` is nonzero.
+inline std::uint64_t nonzero_bytes(const std::uint8_t* line) noexcept {
+  static_assert(std::endian::native == std::endian::little);
+  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
+  std::uint64_t mask = 0;
+  for (std::size_t k = 0; k < kLineSlots / 8; ++k) {
+    std::uint64_t word;
+    std::memcpy(&word, line + 8 * k, 8);
+    // High bit of each byte set iff the byte is nonzero, then gathered
+    // into one bit per byte.
+    const std::uint64_t high = (word | ((word & kLow7) + kLow7)) & ~kLow7;
+    mask |= (((high >> 7) * 0x0102040810204080ull) >> 56) << (8 * k);
+  }
+  return mask;
+}
+
+/// Marks the presence line holding `slot` in a line bitmap.
+inline void mark_line(std::uint64_t* lines, std::size_t slot) noexcept {
+  lines[slot / (kLineSlots * 64)] |= std::uint64_t{1}
+                                     << (slot / kLineSlots % 64);
+}
+
 /// Per-direction mailbox: one slot per network link, flat over the CSR
 /// positions of the receiving side, double-buffered (current / next).
+/// The presence lanes are padded to whole lines; the padding stays zero.
 template <class M>
 struct Mailbox {
   std::vector<M> current, next;
-  // Presence flags, wiped on every swap.
   std::vector<std::uint8_t> current_present, next_present;
-
-  // Receiver-slot record of the buffer's sends: concatenated unsorted
-  // from the shards, sorted inside sparse accounting, and reused on the
-  // retired side (current_dirty after the swap) for the targeted wipe.
-  std::vector<std::uint32_t> current_dirty, next_dirty;
-  // True iff the matching dirty list is a complete record of the sends.
-  // Saturated rounds skip recording (the dense fallback neither needs
-  // nor wants it), flipping this off for one cycle.
-  bool current_tracked = true, next_tracked = true;
+  // One bit per presence line that may hold a message; wiped on retire.
+  std::vector<std::uint64_t> current_lines, next_lines;
 
   void init(std::size_t links) {
+    const std::size_t lines = (links + kLineSlots - 1) / kLineSlots;
     current.resize(links);
     next.resize(links);
-    current_present.assign(links, 0);
-    next_present.assign(links, 0);
-    current_dirty.clear();
-    next_dirty.clear();
-    current_tracked = next_tracked = true;  // empty mailboxes, empty lists
+    current_present.assign(lines * kLineSlots, 0);
+    next_present.assign(lines * kLineSlots, 0);
+    current_lines.assign((lines + 63) / 64, 0);
+    next_lines.assign((lines + 63) / 64, 0);
   }
 };
 
@@ -188,16 +215,12 @@ class Inbox {
   std::uint32_t fan_;
 };
 
-/// Per-shard scratch: dirty-slot lists filled by the shard's senders
-/// during a round plus the shard's work counters, merged single-threaded
-/// after the parallel phase. Cache-line aligned so neighbouring shards
-/// never false-share. Capacity is bounded by construction — the engine
-/// reserves each list to the shard's incidence count up front (one send
-/// per owned link per round is the hard cap) and shrinks it back when a
-/// run releases its round memory.
+/// Per-shard scratch: the line bitmaps of the shard's sends plus its work
+/// counters, merged single-threaded after the parallel phase. Cache-line
+/// aligned so neighbouring shards never false-share.
 struct alignas(64) ShardScratch {
-  std::vector<std::uint32_t> to_edge_dirty;    // edge-side slots written
-  std::vector<std::uint32_t> to_vertex_dirty;  // vertex-side slots written
+  std::vector<std::uint64_t> to_edge_lines;    // edge-side lines written
+  std::vector<std::uint64_t> to_vertex_lines;  // vertex-side lines written
   std::uint64_t agents_visited = 0;
   std::uint64_t agent_steps = 0;
 };
@@ -304,7 +327,7 @@ class Engine {
   /// protocols initialize them via a set-up pass or first-round logic.
   Engine(const hg::Hypergraph& graph, Options options = {})
       : graph_(&graph), options_(options) {
-    // Dirty-slot entries are uint32 (halving their cache traffic); the
+    // Send-slot indices are uint32 (halving their cache traffic); the
     // hgb wire format already bounds incidence counts the same way.
     assert(graph.num_incidences() <=
            std::numeric_limits<std::uint32_t>::max());
@@ -330,16 +353,9 @@ class Engine {
     edge_shards_ = balanced_shards(edge_slot_base_, shards);
     scratch_.resize(shards);
     if (options_.scheduling == Scheduling::kActive) {
-      to_edge_.next_dirty.reserve(graph.num_incidences());
-      to_vertex_.next_dirty.reserve(graph.num_incidences());
-      for (unsigned s = 0; s < shards; ++s) {
-        // A shard can send at most one message per incidence it owns.
-        scratch_[s].to_edge_dirty.reserve(
-            vertex_slot_base_[vertex_shards_[s + 1]] -
-            vertex_slot_base_[vertex_shards_[s]]);
-        scratch_[s].to_vertex_dirty.reserve(
-            edge_slot_base_[edge_shards_[s + 1]] -
-            edge_slot_base_[edge_shards_[s]]);
+      for (auto& sc : scratch_) {  // kDense sends mark no lines
+        sc.to_edge_lines.assign(to_edge_.next_lines.size(), 0);
+        sc.to_vertex_lines.assign(to_vertex_.next_lines.size(), 0);
       }
     }
     const std::uint64_t network_size =
@@ -387,29 +403,22 @@ class Engine {
     if (options_.keep_round_stats) stats_.per_round.emplace_back();
     const std::uint64_t t0 = cycle_now();
     if (options_.scheduling == Scheduling::kDense) {
-      to_edge_.next_tracked = false;  // dense sweeps never record sends
-      to_vertex_.next_tracked = false;
       step_round_dense();
       stats_.step_cycles += cycle_now() - t0;
+      mark_every_line(to_edge_.next_lines, to_edge_.next_present.size());
+      mark_every_line(to_vertex_.next_lines, to_vertex_.next_present.size());
     } else {
-      // Saturated rounds (most agents live) will be accounted and cleared
-      // densely anyway, so skip dirty-slot recording and its push cost;
-      // sparse rounds record so accounting/clearing touch only messages.
-      // Recording engages earlier than the sparse threshold (kRecordFactor
-      // < kSparseFactor): a wasted record costs one push per message, a
-      // missed sparse round costs two full dense passes.
-      recording_ = live_agents_ * kRecordFactor <
-                   vertex_agents_.size() + edge_agents_.size();
-      to_edge_.next_tracked = recording_;
-      to_vertex_.next_tracked = recording_;
       dispatch_frontier();
       stats_.step_cycles += cycle_now() - t0;
       fold_scratch();
       refresh_live_count();
     }
-    account_round();
+    const std::uint64_t t1 = cycle_now();
+    account_links(to_edge_, 0);
+    account_links(to_vertex_, 1);
     swap_and_clear(to_edge_);
     swap_and_clear(to_vertex_);
+    stats_.account_cycles += cycle_now() - t1;
     ++round_;
   }
 
@@ -447,32 +456,18 @@ class Engine {
 
   [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
 
-  /// Releases the round-scoped scratch memory — per-shard dirty lists,
-  /// frontier worklists, merged dirty records — back to the allocator.
-  /// run() calls this at exit so long-lived holders (result caches, batch
-  /// slots) don't pin peak-round footprints; stepping again afterwards is
-  /// still valid (the worklists rebuild lazily from the halted flags and
-  /// the dirty lists regrow on demand).
+  /// Releases the round-scoped scratch memory — the frontier worklists —
+  /// back to the allocator. run() calls this at exit so long-lived holders
+  /// (result caches, batch slots) don't pin peak-round footprints;
+  /// stepping again afterwards is still valid (the worklists rebuild
+  /// lazily from the halted flags). The line bitmaps are fixed-size and
+  /// stay, so a buffer retired later still wipes exactly its lines.
   void release_round_memory() {
     // Swap against empties: `v = {}` is assign(initializer_list), which
     // clears the contents but may keep the allocation alive.
-    const auto drop = [](auto& v) { std::remove_reference_t<decltype(v)>().swap(v); };
-    for (auto& sc : scratch_) {
-      drop(sc.to_edge_dirty);
-      drop(sc.to_vertex_dirty);
-    }
-    drop(vertex_work_);
-    drop(edge_work_);
+    std::vector<std::vector<std::uint32_t>>().swap(vertex_work_);
+    std::vector<std::vector<std::uint32_t>>().swap(edge_work_);
     frontier_built_ = false;  // rebuilt (identically) if stepped again
-    drop(to_edge_.current_dirty);
-    drop(to_edge_.next_dirty);
-    drop(to_vertex_.current_dirty);
-    drop(to_vertex_.next_dirty);
-    // current_dirty was the pending wipe record for the current buffer;
-    // dropping it demands a full wipe when that buffer retires, or stale
-    // presence bytes would survive.
-    to_edge_.current_tracked = false;
-    to_vertex_.current_tracked = false;
   }
 
   /// Bytes currently reserved by the round-scoped scratch structures
@@ -480,20 +475,11 @@ class Engine {
   /// bounded-capacity policy.
   [[nodiscard]] std::size_t scratch_capacity_bytes() const noexcept {
     std::size_t bytes = 0;
-    for (const auto& sc : scratch_) {
-      bytes += sc.to_edge_dirty.capacity() * sizeof(std::uint32_t);
-      bytes += sc.to_vertex_dirty.capacity() * sizeof(std::uint32_t);
-    }
     for (const auto& wl : vertex_work_) {
       bytes += wl.capacity() * sizeof(std::uint32_t);
     }
     for (const auto& wl : edge_work_) {
       bytes += wl.capacity() * sizeof(std::uint32_t);
-    }
-    for (const auto* buf_dirty :
-         {&to_edge_.current_dirty, &to_edge_.next_dirty,
-          &to_vertex_.current_dirty, &to_vertex_.next_dirty}) {
-      bytes += buf_dirty->capacity() * sizeof(std::uint32_t);
     }
     return bytes;
   }
@@ -502,13 +488,6 @@ class Engine {
   friend class VertexCtx;
   friend class EdgeCtx;
 
-  /// Accounting goes sparse when set slots * kSparseFactor < links; the
-  /// dense scan costs one pass over the presence bytes, the sparse
-  /// path one scattered access per message.
-  static constexpr std::size_t kSparseFactor = 8;
-  /// Dirty-slot recording starts once live agents drop below 1/kRecordFactor
-  /// of the network (cheap insurance for the upcoming sparse rounds).
-  static constexpr std::size_t kRecordFactor = 4;
   /// Target live agents per dispatched worker; rounds with less total work
   /// shrink to fewer workers (1 worker = inline, no pool handshake).
   static constexpr std::size_t kMinAgentsPerWorker = 256;
@@ -613,7 +592,7 @@ class Engine {
       VertexAgent& a = vertex_agents_[v];
       if (a.halted()) continue;
       ++sc.agent_steps;
-      VertexCtx ctx(this, v, recording_ ? &sc : nullptr);
+      VertexCtx ctx(this, v, &sc);
       a.step(ctx);
       if (!a.halted()) vw[out++] = v;
     }
@@ -626,7 +605,7 @@ class Engine {
       EdgeAgent& a = edge_agents_[e];
       if (a.halted()) continue;
       ++sc.agent_steps;
-      EdgeCtx ctx(this, e, recording_ ? &sc : nullptr);
+      EdgeCtx ctx(this, e, &sc);
       a.step(ctx);
       if (!a.halted()) ew[out++] = e;
     }
@@ -654,20 +633,20 @@ class Engine {
     }
   }
 
-  /// Merges per-shard dirty lists and work counters, in shard order, on
-  /// the calling thread — the single deterministic point between the
-  /// parallel step phase and accounting. The dirty lists are concatenated
-  /// unsorted; sparse accounting sorts them.
+  /// Merges per-shard line bitmaps (OR) and work counters, in shard order,
+  /// on the calling thread — the single deterministic point between the
+  /// parallel step phase and accounting.
   void fold_scratch() {
+    const auto merge = [](std::vector<std::uint64_t>& into,
+                          std::vector<std::uint64_t>& from) {
+      for (std::size_t w = 0; w < from.size(); ++w) {
+        into[w] |= from[w];
+        from[w] = 0;
+      }
+    };
     for (auto& sc : scratch_) {
-      to_edge_.next_dirty.insert(to_edge_.next_dirty.end(),
-                                 sc.to_edge_dirty.begin(),
-                                 sc.to_edge_dirty.end());
-      sc.to_edge_dirty.clear();
-      to_vertex_.next_dirty.insert(to_vertex_.next_dirty.end(),
-                                   sc.to_vertex_dirty.begin(),
-                                   sc.to_vertex_dirty.end());
-      sc.to_vertex_dirty.clear();
+      merge(to_edge_.next_lines, sc.to_edge_lines);
+      merge(to_vertex_.next_lines, sc.to_vertex_lines);
       stats_.agents_visited += sc.agents_visited;
       sc.agents_visited = 0;
       stats_.agent_steps += sc.agent_steps;
@@ -695,7 +674,7 @@ class Engine {
       step_vertex_range(0, graph_->num_vertices(), scratch_[0]);
       step_edge_range(0, graph_->num_edges(), scratch_[0]);
     }
-    fold_scratch();  // dirty lists are empty here; folds the counters
+    fold_scratch();  // no lines are marked here; folds the counters
   }
 
   void step_vertex_range(hg::VertexId begin, hg::VertexId end,
@@ -743,111 +722,117 @@ class Engine {
   void send_to_edge(detail::ShardScratch* sc, hg::VertexId v,
                     std::uint32_t local, const VertexMsg& msg) {
     const std::uint32_t slot = v_send_slot_[vertex_slot_base_[v] + local];
-    assert(!to_edge_.next_present[slot] && "one message per link per round");
-    to_edge_.next[slot] = msg;
-    to_edge_.next_present[slot] = 1;
-    if (sc) sc->to_edge_dirty.push_back(slot);
+    post(to_edge_, sc ? sc->to_edge_lines.data() : nullptr, slot, msg);
   }
 
   void send_to_vertex(detail::ShardScratch* sc, hg::EdgeId e,
                       std::uint32_t local, const EdgeMsg& msg) {
     const std::uint32_t slot = e_send_slot_[edge_slot_base_[e] + local];
-    assert(!to_vertex_.next_present[slot] && "one message per link per round");
-    to_vertex_.next[slot] = msg;
-    to_vertex_.next_present[slot] = 1;
-    if (sc) sc->to_vertex_dirty.push_back(slot);
+    post(to_vertex_, sc ? sc->to_vertex_lines.data() : nullptr, slot, msg);
+  }
+
+  /// Stores `msg` in `slot` with its bit-size lane, and marks the slot's
+  /// line in `lines` (null under kDense, whose sends mark nothing: the
+  /// round then marks every line).
+  template <class M>
+  static void post(detail::Mailbox<M>& buf, std::uint64_t* lines,
+                   std::uint32_t slot, const M& msg) {
+    assert(!buf.next_present[slot] && "one message per link per round");
+    buf.next[slot] = msg;
+    buf.next_present[slot] = detail::lane(msg.bit_size());
+    if (lines) detail::mark_line(lines, slot);
   }
 
   // --- accounting and clearing ---------------------------------------------
 
+  /// Sets every line bit of a lane `present_bytes` long (kDense).
+  static void mark_every_line(std::vector<std::uint64_t>& lines,
+                              std::size_t present_bytes) {
+    std::fill(lines.begin(), lines.end(), ~std::uint64_t{0});
+    if (const std::size_t tail = present_bytes / detail::kLineSlots % 64) {
+      lines.back() = (std::uint64_t{1} << tail) - 1;
+    }
+  }
+
+  /// Calls f(first slot) for every marked line in ascending order, adds
+  /// the slots those lines hold (64 each, capped at the link count) to
+  /// slots_processed, and counts the pass as dense iff it visited every
+  /// line. Returns the slot count.
+  template <class F>
+  std::uint64_t walk_lines(const std::vector<std::uint64_t>& lines,
+                           std::uint64_t& dense_passes,
+                           std::uint64_t& sparse_passes, F&& f) {
+    const std::size_t links = graph_->num_incidences();
+    std::uint64_t slots = 0;
+    std::size_t visited = 0;
+    for (std::size_t w = 0; w < lines.size(); ++w) {
+      for (std::uint64_t set = lines[w]; set != 0; set &= set - 1) {
+        const std::size_t begin =
+            (w * 64 + std::countr_zero(set)) * detail::kLineSlots;
+        f(begin);
+        slots += std::min(detail::kLineSlots, links - begin);
+        ++visited;
+      }
+    }
+    ++(visited * detail::kLineSlots >= links ? dense_passes : sparse_passes);
+    stats_.slots_processed += slots;
+    return slots;
+  }
+
   /// Folds this round's outgoing messages into the statistics in ascending
   /// slot order (edge-bound then vertex-bound). Runs single-threaded after
   /// the agents step, so totals and the transcript hash never depend on
-  /// agent scheduling. Sparse rounds visit the ascending dirty-slot list —
-  /// the same ascending set of slots the dense scan would find, so the
-  /// transcript hash is independent of which path ran.
+  /// agent scheduling. Marked lines cover every present slot, so the slot
+  /// order, and with it the hash, is the same whichever lines are marked.
   template <class M>
-  void account_links(detail::Mailbox<M>& buf, std::uint64_t key_bit) {
-    const std::size_t links = graph_->num_incidences();
-    auto& dirty = buf.next_dirty;
-    if (buf.next_tracked && dirty.size() * kSparseFactor < links) {
-      std::sort(dirty.begin(), dirty.end());
-      for (const std::uint32_t slot : dirty) {
-        assert(buf.next_present[slot]);
-        account(buf.next[slot].bit_size(), std::uint64_t{slot} * 2 + key_bit);
-      }
-      stats_.slots_processed += dirty.size();
-      ++stats_.sparse_account_passes;
-      return;
-    }
-    ++stats_.dense_account_passes;
-    stats_.slots_processed += links;
+  void account_links(const detail::Mailbox<M>& buf, std::uint64_t key_bit) {
     const std::uint8_t* present = buf.next_present.data();
-    std::size_t slot = 0;
-    for (; slot + 8 <= links; slot += 8) {
-      std::uint64_t word;
-      std::memcpy(&word, present + slot, 8);
-      if (word == 0) continue;
-      for (std::size_t k = 0; k < 8; ++k) {
-        if (present[slot + k]) {
-          account(buf.next[slot + k].bit_size(),
-                  std::uint64_t{slot + k} * 2 + key_bit);
-        }
+    const std::uint32_t limit = stats_.bandwidth_limit_bits;
+    const std::uint64_t round_key = std::uint64_t{round_} << 40;
+    std::uint64_t hash = stats_.transcript_hash;
+    std::uint64_t messages = 0, bits = 0, violations = 0;
+    std::uint32_t max_bits = 0;
+    walk_lines(buf.next_lines, stats_.dense_account_passes,
+               stats_.sparse_account_passes, [&](std::size_t begin) {
+      for (std::uint64_t set = detail::nonzero_bytes(present + begin);
+           set != 0; set &= set - 1) {
+        const std::size_t slot = begin + std::countr_zero(set);
+        std::uint32_t b = present[slot];
+        if (b == detail::kLaneEscape) b = buf.next[slot].bit_size();
+        ++messages;
+        bits += b;
+        max_bits = std::max(max_bits, b);
+        violations += b > limit;
+        const std::uint64_t slot_key = std::uint64_t{slot} * 2 + key_bit;
+        hash = detail::mix_hash(hash, round_key ^ (slot_key << 8) ^ b);
       }
-    }
-    for (; slot < links; ++slot) {
-      if (present[slot]) {
-        account(buf.next[slot].bit_size(), std::uint64_t{slot} * 2 + key_bit);
-      }
+    });
+    stats_.transcript_hash = hash;
+    stats_.total_messages += messages;
+    stats_.total_bits += bits;
+    stats_.max_message_bits = std::max(stats_.max_message_bits, max_bits);
+    stats_.bandwidth_violations += violations;
+    if (options_.keep_round_stats) {
+      auto& rs = stats_.per_round.back();
+      rs.messages += messages;
+      rs.bits += bits;
+      rs.max_message_bits = std::max(rs.max_message_bits, max_bits);
     }
   }
 
-  void account_round() {
-    account_links(to_edge_, 0);
-    account_links(to_vertex_, 1);
-  }
-
-  /// Advances the double buffer and wipes the retired side's present
-  /// bytes: a targeted sparse wipe when its dirty list is a complete
-  /// record, a full memset otherwise.
+  /// Advances the double buffer and wipes the retired side's marked lines.
   template <class M>
   void swap_and_clear(detail::Mailbox<M>& buf) {
     buf.current.swap(buf.next);
     buf.current_present.swap(buf.next_present);
-    buf.current_dirty.swap(buf.next_dirty);
-    std::swap(buf.current_tracked, buf.next_tracked);
-    auto& dirty = buf.next_dirty;  // the slots set in the retired buffer
-    const std::size_t links = buf.next_present.size();
-    if (buf.next_tracked && dirty.size() * kSparseFactor < links) {
-      for (const std::uint32_t slot : dirty) buf.next_present[slot] = 0;
-      stats_.slots_processed += dirty.size();
-      stats_.clear_slots += dirty.size();
-      ++stats_.sparse_clear_passes;
-    } else {
-      std::fill(buf.next_present.begin(), buf.next_present.end(), 0);
-      stats_.slots_processed += links;
-      stats_.clear_slots += links;
-      ++stats_.dense_clear_passes;
-    }
-    dirty.clear();
-    buf.next_tracked = true;  // the buffer is now empty; the next round's
-                              // recording decision overwrites this
-  }
-
-  void account(std::uint32_t bits, std::uint64_t slot_key) {
-    ++stats_.total_messages;
-    stats_.total_bits += bits;
-    if (bits > stats_.max_message_bits) stats_.max_message_bits = bits;
-    if (bits > stats_.bandwidth_limit_bits) ++stats_.bandwidth_violations;
-    stats_.transcript_hash = detail::mix_hash(
-        stats_.transcript_hash,
-        (std::uint64_t{round_} << 40) ^ (slot_key << 8) ^ bits);
-    if (options_.keep_round_stats) {
-      auto& rs = stats_.per_round.back();
-      ++rs.messages;
-      rs.bits += bits;
-      if (bits > rs.max_message_bits) rs.max_message_bits = bits;
-    }
+    buf.current_lines.swap(buf.next_lines);
+    std::uint8_t* present = buf.next_present.data();
+    stats_.clear_slots +=
+        walk_lines(buf.next_lines, stats_.dense_clear_passes,
+                   stats_.sparse_clear_passes, [&](std::size_t begin) {
+                     std::memset(present + begin, 0, detail::kLineSlots);
+                   });
+    std::fill(buf.next_lines.begin(), buf.next_lines.end(), 0);
   }
 
   const hg::Hypergraph* graph_;
@@ -870,7 +855,6 @@ class Engine {
   std::vector<std::vector<std::uint32_t>> vertex_work_;  // live ids, per shard
   std::vector<std::vector<std::uint32_t>> edge_work_;
   bool frontier_built_ = false;
-  bool recording_ = false;       // this round records dirty slots
   std::size_t live_agents_ = 0;  // maintained at worklist compaction
 };
 

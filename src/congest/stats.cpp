@@ -21,7 +21,8 @@ std::ostream& operator<<(std::ostream& os, const RunStats& s) {
             << (s.agent_steps > 0
                     ? static_cast<double>(s.step_cycles) /
                           static_cast<double>(s.agent_steps)
-                    : 0.0);
+                    : 0.0)
+            << " account_cycles=" << s.account_cycles;
 }
 
 }  // namespace hypercover::congest

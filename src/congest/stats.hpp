@@ -42,26 +42,25 @@ struct RunStats {
   // Engine work accounting (scheduler cost, not protocol semantics).
   // These measure how many items the engine touched, so the frontier
   // optimization is verifiable: under Scheduling::kActive late sparse
-  // rounds cost O(live agents + messages), under kDense every round
-  // costs O(n + m + links). None of them feed the transcript hash.
+  // rounds cost O(live agents + presence lines hit), under kDense every
+  // round costs O(n + m + links). None of them feed the transcript hash.
   /// Scheduler loop visits (dense sweeps count every agent every round;
   /// frontier worklists count only live agents).
   std::uint64_t agents_visited = 0;
   /// Actual step() invocations on non-halted agents.
   std::uint64_t agent_steps = 0;
-  /// Mailbox slots touched by message accounting and presence clearing
-  /// (dense passes count all links, sparse passes only the slots written
-  /// this round).
+  /// Presence bytes scanned by message accounting and wiped by clearing:
+  /// 64 per visited presence line, capped at the link count (a dense pass
+  /// counts all links).
   std::uint64_t slots_processed = 0;
-  /// Accounting passes served by the sorted dirty-slot list vs the dense
-  /// scan (two passes per round, one per direction).
+  /// Accounting passes, two per round (one per direction). A pass is
+  /// dense iff it visits every presence line, sparse otherwise.
   std::uint64_t sparse_account_passes = 0;
   std::uint64_t dense_account_passes = 0;
-  /// Mailbox slots written by presence *clearing* alone (a subset of
-  /// slots_processed).
+  /// Presence bytes wiped by clearing alone (a subset of slots_processed).
   std::uint64_t clear_slots = 0;
-  /// Clearing decisions, one per retired buffer (two per round): a
-  /// targeted sparse wipe of the recorded slots or a full memset.
+  /// Clearing passes, one per retired buffer (two per round), dense iff
+  /// they wipe every presence line.
   std::uint64_t sparse_clear_passes = 0;
   std::uint64_t dense_clear_passes = 0;
   /// CPU timestamp-counter ticks (congest::cycle_now) spent in the
@@ -69,6 +68,9 @@ struct RunStats {
   /// metric — NOT deterministic, never part of the transcript hash;
   /// consumers derive cycles-per-agent-step as step_cycles / agent_steps.
   std::uint64_t step_cycles = 0;
+  /// The same kind of ticks spent in message accounting plus buffer
+  /// retirement. Not deterministic, never hashed, never on the wire.
+  std::uint64_t account_cycles = 0;
 };
 
 std::ostream& operator<<(std::ostream& os, const RunStats& s);
@@ -77,13 +79,13 @@ std::ostream& operator<<(std::ostream& os, const RunStats& s);
 /// clearing. Both modes execute the same protocol and produce the same
 /// transcript hash, duals, and cover — only the engine's own work differs.
 enum class Scheduling : std::uint8_t {
-  /// Frontier worklists over live agents, dirty-slot lists recorded at
-  /// send time, and a per-round density heuristic that falls back to the
-  /// dense word-at-a-time scan when most links carry a message. Late
-  /// sparse rounds cost O(live agents + messages).
+  /// Frontier worklists over live agents; sends mark the 64-slot
+  /// presence lines they write, and accounting and clearing visit only
+  /// the marked lines (every line on saturated rounds). Late sparse
+  /// rounds cost O(live agents + presence lines hit).
   kActive,
-  /// Reference dense sweeps: every round scans all agents, all link
-  /// present-flags, and memsets both mailbox arrays. Kept as an A/B
+  /// Reference dense sweeps: every round scans all agents, all presence
+  /// lines, and wipes both presence lanes in full. Kept as an A/B
   /// baseline for tests and benchmarks.
   kDense,
 };

@@ -39,16 +39,19 @@ namespace hypercover::core {
 // ---------------------------------------------------------------------------
 // Messages. Realistic bit sizes: 3 tag bits plus the payload width; weights
 // and degrees cost their binary width (the paper assumes both are poly(n),
-// i.e. O(log n) bits).
+// i.e. O(log n) bits). Fields that never occur in the same tag share one
+// slot, and the tag goes last, so the payloads stay small.
 // ---------------------------------------------------------------------------
 
 enum class VTag : std::uint8_t { kInitInfo, kCovered, kLevels, kRaise, kStuck };
 
 struct VertexToEdgeMsg {
+  std::int64_t weight = 0;  // kInitInfo
+  union {
+    std::uint32_t degree = 0;  // kInitInfo
+    std::uint32_t levels;      // kLevels: number of level increments
+  };
   VTag tag{VTag::kInitInfo};
-  std::int64_t weight = 0;    // kInitInfo
-  std::uint32_t degree = 0;   // kInitInfo
-  std::uint32_t levels = 0;   // kLevels: number of level increments
 
   [[nodiscard]] std::uint32_t bit_size() const {
     constexpr std::uint32_t kTag = 3;
@@ -67,16 +70,19 @@ struct VertexToEdgeMsg {
     return kTag;
   }
 };
+static_assert(sizeof(VertexToEdgeMsg) == 16);
 
 enum class ETag : std::uint8_t { kInitReply, kCovered, kHalved, kResult };
 
 struct EdgeToVertexMsg {
+  std::int64_t min_weight = 0;   // kInitReply: w(v*)
+  std::uint32_t min_degree = 0;  // kInitReply: |E(v*)|
+  union {
+    std::uint32_t local_delta = 0;  // kInitReply: Delta(e)
+    std::uint32_t halvings;         // kHalved: h_e
+  };
+  std::uint8_t raised = 0;  // kResult
   ETag tag{ETag::kInitReply};
-  std::int64_t min_weight = 0;      // kInitReply: w(v*)
-  std::uint32_t min_degree = 0;     // kInitReply: |E(v*)|
-  std::uint32_t local_delta = 0;    // kInitReply: Delta(e)
-  std::uint32_t halvings = 0;       // kHalved: h_e
-  std::uint8_t raised = 0;          // kResult
 
   [[nodiscard]] std::uint32_t bit_size() const {
     constexpr std::uint32_t kTag = 3;
@@ -96,6 +102,7 @@ struct EdgeToVertexMsg {
     return kTag;
   }
 };
+static_assert(sizeof(EdgeToVertexMsg) == 24);
 
 // ---------------------------------------------------------------------------
 // Shared run configuration and instrumentation sink.

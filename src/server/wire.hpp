@@ -250,7 +250,7 @@ struct ServerStats {
   // summed from each Solution's RunStats (protocol v3). engine_step_cycles
   // over engine_agent_steps is the server's cycles-per-agent-step;
   // engine_clear_slots counts the presence bytes wiped when mailbox
-  // buffers retire (sparse wipes plus full memsets).
+  // buffers retire (64 per wiped presence line, capped at the link count).
   std::uint64_t engine_rounds = 0;
   std::uint64_t engine_agent_steps = 0;
   std::uint64_t engine_step_cycles = 0;

@@ -1,10 +1,10 @@
-// Equivalence tests for the activity-driven engine: frontier worklists,
-// dirty-slot accounting, and the density fallback must be invisible to the
-// protocol. Scheduling::kDense is byte-for-byte the pre-frontier reference
-// path (dense sweeps, word-scan accounting, full memset clears), so every
-// test here locks the optimized schedule against it — per round, at every
-// thread count, across generator families including graphs with isolated
-// vertices and protocols with empty (message-free) rounds.
+// Equivalence tests for the activity-driven engine: frontier worklists and
+// line-marked accounting and clearing must be invisible to the protocol.
+// Scheduling::kDense is the reference path (dense sweeps, accounting over
+// every presence line, full clears), so every test here locks the
+// optimized schedule against it — per round, at every thread count,
+// across generator families including graphs with isolated vertices and
+// protocols with empty (message-free) rounds.
 
 #include <gtest/gtest.h>
 
@@ -68,7 +68,7 @@ TEST(ThreadPoolRunSome, PropagatesExceptionsFromActiveWorkers) {
 //
 // Vertices halt in waves keyed by id; everyone goes silent on rounds
 // r % 5 == 3 (an empty round: zero messages in either direction), so the
-// dirty-slot path must handle M = 0 and the next round must still read a
+// line-marked path must handle M = 0 and the next round must still read a
 // fully cleared mailbox.
 
 struct WaveMsg {
@@ -332,7 +332,7 @@ TEST(EngineFrontier, LiveAgentCounterTracksHalting) {
   const auto res = run.finish_result();
   EXPECT_TRUE(res.net.completed);
   // Work accounting: every scheduled visit stepped a live agent at least
-  // once, and the sparse tail used the dirty-slot path.
+  // once, and the sparse tail visited only some presence lines.
   EXPECT_GE(res.net.agents_visited, res.net.agent_steps);
   EXPECT_GT(res.net.sparse_account_passes, 0u);
 }

@@ -1,8 +1,8 @@
 // Golden-digest and lock-step tests for the engine's byte-presence
 // mailboxes: every protocol must keep its historical transcripts, covers,
-// and duals at every thread count and scheduling mode, and an engine
-// stepped again after run() released its round memory must continue
-// bit-identically.
+// and duals at every thread count and scheduling mode, the bit-size lane
+// must account every message size exactly, and an engine stepped again
+// after run() released its round memory must continue bit-identically.
 //
 // The golden table below locks every registry algorithm to the
 // historical transcripts: an engine change that reorders or drops a
@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -149,8 +152,8 @@ TEST(EngineLayoutGolden, EveryAlgorithmMatchesGoldenDigests) {
 // every fourth beacon on odd rounds. Edges echo while they keep hearing
 // something and retire after two silent rounds. The engine therefore
 // flips between dense and sparse accounting, and between memsets and
-// targeted wipes, for the rest of the run: a stale presence byte or a
-// misordered dirty slot changes the transcript.
+// targeted wipes, for the rest of the run: a stale presence byte or an
+// unmarked presence line changes the transcript.
 
 struct OscMsg {
   std::uint64_t value = 0;
@@ -286,12 +289,159 @@ TEST(EngineLayout, OscillationExercisesBothAccountingAndClearPaths) {
   EXPECT_GT(sa.sparse_account_passes, 0u);
   EXPECT_GT(sa.dense_clear_passes, 0u);
   EXPECT_GT(sa.sparse_clear_passes, 0u);
-  // Dense scheduling records no sends, so it memsets every buffer that
-  // carried messages; active scheduling wipes only the recorded slots
-  // when sparse.
+  // Dense scheduling wipes every presence line of every buffer; active
+  // scheduling wipes only the lines its sends marked.
   EXPECT_GT(sa.clear_slots, 0u);
   EXPECT_LT(sa.clear_slots, sd.clear_slots);
   EXPECT_LT(sa.slots_processed, sd.slots_processed);
+}
+
+// --- bit-size lane ---------------------------------------------------------
+//
+// A send stores its bit size in the presence byte, escaping 0 and >= 255
+// to "reread the payload". This protocol sends 0-, 1-, 254-, 255- and
+// 300-bit messages in both directions for kLaneRounds rounds, each round
+// only to the receivers in one window of ids (so some presence lines stay
+// empty), on a graph of 210 links (the last line is partial). Every
+// accounted quantity must equal a hand fold over the ascending slots.
+
+constexpr std::uint32_t kLaneSizes[] = {0, 1, 254, 255, 300};
+constexpr std::uint32_t kLaneRounds = 6;
+
+struct LaneMsg {
+  std::uint32_t bits = 0;
+  [[nodiscard]] std::uint32_t bit_size() const { return bits; }
+};
+
+/// Whether a sender sends to the receiver `to` in round r: everyone in
+/// round 0, then one window of receiver ids in four.
+bool lane_sends(std::uint32_t to, std::uint32_t window, std::uint32_t r) {
+  return r == 0 || to / window % 4 == r % 4;
+}
+/// The bit size sender `id` uses on its link `local` in round r.
+std::uint32_t lane_bits(std::uint32_t id, std::uint32_t local,
+                        std::uint32_t r) {
+  return kLaneSizes[(id + local + r) % std::size(kLaneSizes)];
+}
+
+struct LaneVertex {
+  std::uint64_t heard = 0;
+  bool halted_flag = false;
+  template <class Ctx>
+  void step(Ctx& ctx) {
+    for (const auto entry : ctx.inbox()) heard += entry.msg->bits + 1;
+    const std::uint32_t r = ctx.round();
+    if (r == kLaneRounds) {
+      halted_flag = true;
+      return;
+    }
+    for (std::uint32_t k = 0; k < ctx.degree(); ++k) {
+      if (lane_sends(ctx.edge_at(k), 16, r)) {
+        ctx.send(k, LaneMsg{lane_bits(ctx.id(), k, r)});
+      }
+    }
+  }
+  [[nodiscard]] bool halted() const { return halted_flag; }
+};
+
+struct LaneEdge {
+  std::uint64_t heard = 0;
+  bool halted_flag = false;
+  template <class Ctx>
+  void step(Ctx& ctx) {
+    for (const auto entry : ctx.inbox()) heard += entry.msg->bits + 1;
+    const std::uint32_t r = ctx.round();
+    if (r == kLaneRounds) {
+      halted_flag = true;
+      return;
+    }
+    for (std::uint32_t j = 0; j < ctx.size(); ++j) {
+      if (lane_sends(ctx.vertex_at(j), 8, r)) {
+        ctx.send(j, LaneMsg{lane_bits(ctx.id(), j, r)});
+      }
+    }
+  }
+  [[nodiscard]] bool halted() const { return halted_flag; }
+};
+
+struct LaneProtocol {
+  using VertexMsg = LaneMsg;
+  using EdgeMsg = LaneMsg;
+  using VertexAgent = LaneVertex;
+  using EdgeAgent = LaneEdge;
+};
+
+std::uint32_t local_index(std::span<const std::uint32_t> ids,
+                          std::uint32_t id) {
+  return static_cast<std::uint32_t>(std::find(ids.begin(), ids.end(), id) -
+                                    ids.begin());
+}
+
+TEST(EngineLayout, BitSizeLaneEscapesMatchHandFold) {
+  const auto g = hg::random_uniform(40, 70, 3, hg::uniform_weights(9), 43);
+  ASSERT_EQ(g.num_incidences(), 210u);  // 3 full presence lines + 18 slots
+  const std::uint32_t limit =
+      4 * static_cast<std::uint32_t>(
+              util::ceil_log2(g.num_vertices() + g.num_edges() + 1));
+  congest::RunStats want;
+  std::uint64_t heard = 0;
+  const auto fold = [&](std::uint32_t r, std::uint64_t slot,
+                        std::uint64_t key_bit, std::uint32_t bits) {
+    ++want.total_messages;
+    want.total_bits += bits;
+    want.max_message_bits = std::max(want.max_message_bits, bits);
+    want.bandwidth_violations += bits > limit;
+    want.transcript_hash = util::mix64(
+        want.transcript_hash,
+        (std::uint64_t{r} << 40) ^ ((slot * 2 + key_bit) << 8) ^ bits);
+    heard += bits + 1;
+  };
+  for (std::uint32_t r = 0; r < kLaneRounds; ++r) {
+    std::uint64_t slot = 0;  // edge-side slots: edges ascending, members
+    for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
+      for (const hg::VertexId v : g.vertices_of(e)) {
+        const std::uint32_t k = local_index(g.edges_of(v), e);
+        if (lane_sends(e, 16, r)) fold(r, slot, 0, lane_bits(v, k, r));
+        ++slot;
+      }
+    }
+    slot = 0;  // vertex-side slots: vertices ascending, incident edges
+    for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (const hg::EdgeId e : g.edges_of(v)) {
+        const std::uint32_t j = local_index(g.vertices_of(e), v);
+        if (lane_sends(v, 8, r)) fold(r, slot, 1, lane_bits(e, j, r));
+        ++slot;
+      }
+    }
+  }
+  ASSERT_EQ(want.max_message_bits, 300u);
+  ASSERT_GT(want.bandwidth_violations, 0u);
+
+  for (const Scheduling sched : {Scheduling::kDense, Scheduling::kActive}) {
+    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+      const std::string label =
+          std::string(sched == Scheduling::kDense ? "dense" : "active") +
+          "/t" + std::to_string(threads);
+      congest::Engine<LaneProtocol> eng(g, osc_options(sched, threads));
+      const auto got = eng.run();
+      EXPECT_TRUE(got.completed) << label;
+      EXPECT_EQ(got.rounds, kLaneRounds + 1) << label;
+      EXPECT_EQ(got.bandwidth_limit_bits, limit) << label;
+      EXPECT_EQ(got.total_messages, want.total_messages) << label;
+      EXPECT_EQ(got.total_bits, want.total_bits) << label;
+      EXPECT_EQ(got.max_message_bits, want.max_message_bits) << label;
+      EXPECT_EQ(got.bandwidth_violations, want.bandwidth_violations) << label;
+      EXPECT_EQ(got.transcript_hash, want.transcript_hash) << label;
+      // Every message, 0-bit ones included, reached its receiver intact.
+      std::uint64_t got_heard = 0;
+      for (const auto& a : eng.vertex_agents()) got_heard += a.heard;
+      for (const auto& a : eng.edge_agents()) got_heard += a.heard;
+      EXPECT_EQ(got_heard, heard) << label;
+      if (sched == Scheduling::kActive) {
+        EXPECT_GT(got.sparse_account_passes, 0u) << label;
+      }
+    }
+  }
 }
 
 // --- bounded round memory --------------------------------------------------
@@ -303,8 +453,7 @@ TEST(EngineLayout, RunReleasesRoundScratchMemory) {
   eng.step_round();
   eng.step_round();
   eng.step_round();
-  // Mid-run the dirty lists and worklists hold their CSR-bounded
-  // reservations...
+  // Mid-run the worklists hold their CSR-bounded reservations...
   EXPECT_GT(eng.scratch_capacity_bytes(), 0u);
   const auto stats = eng.run();
   EXPECT_TRUE(stats.completed);
@@ -312,11 +461,11 @@ TEST(EngineLayout, RunReleasesRoundScratchMemory) {
   EXPECT_EQ(eng.scratch_capacity_bytes(), 0u);
 }
 
-// run() releases the round memory on exit, including the retired
-// buffer's wipe record. Stepping the engine again must then wipe that
-// buffer in full when it retires, or its stale presence bytes read as
+// run() releases the round memory on exit but keeps the line bitmaps.
+// Stepping the engine again must still wipe every line the current
+// buffer wrote when it retires, or its stale presence bytes read as
 // messages a round later. Stop after every round k — the saturated
-// prefix (k < 3) and the sparse phase, where the wipe record is live —
+// prefix (k < 3) and the sparse phase, where only some lines are marked —
 // then step to quiescence and compare against an uninterrupted run. The
 // beacons' sends repeat with period 2, so stale bytes only surface when
 // the sends after the cut differ from those before it (around the
