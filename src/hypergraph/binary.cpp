@@ -322,12 +322,19 @@ bool aligned8(const std::uint8_t* p) noexcept {
 }  // namespace
 
 std::vector<std::uint8_t> write_binary(const Hypergraph& g) {
+  std::vector<std::uint8_t> out;
+  append_binary(out, g);
+  return out;
+}
+
+void append_binary(std::vector<std::uint8_t>& out, const Hypergraph& g) {
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t m = g.num_edges();
   const std::uint64_t inc = g.num_incidences();
   const Layout l = layout_for(n, m, inc);
-  std::vector<std::uint8_t> out(l.total, 0);
-  std::uint8_t* base = out.data();
+  const std::size_t start = out.size();
+  out.resize(start + l.total, 0);
+  std::uint8_t* base = out.data() + start;
 
   store_u64(base + kOffMagic, kHgbMagic);
   store_u32(base + kOffVersion, kHgbVersion);
@@ -373,7 +380,6 @@ std::vector<std::uint8_t> write_binary(const Hypergraph& g) {
     lmd[e] = g.local_max_degree(static_cast<EdgeId>(e));
   }
   put(l.local_max_degree, lmd.data(), m * 4);
-  return out;
 }
 
 void write_binary_file(const std::string& path, const Hypergraph& g) {

@@ -81,6 +81,12 @@ struct HgbInfo {
 /// by construction: the arrays come from a live Hypergraph).
 [[nodiscard]] std::vector<std::uint8_t> write_binary(const Hypergraph& g);
 
+/// Appends the write_binary(g) bytes to `out`, so a caller that frames
+/// the image (e.g. behind a wire prefix) writes it once, with no second
+/// image-sized buffer. The appended image starts at the old out.size(),
+/// so it is 8-byte aligned only if that offset is.
+void append_binary(std::vector<std::uint8_t>& out, const Hypergraph& g);
+
 /// write_binary to a file; throws BinaryFormatError on I/O failure.
 void write_binary_file(const std::string& path, const Hypergraph& g);
 

@@ -187,12 +187,13 @@ struct Router::Impl {
 
   // --- per-connection state -------------------------------------------------
 
-  /// The client's staged graph: the ORIGINAL submit payload (forwarded
-  /// to backends verbatim, so router and backend parse identical bytes)
-  /// plus the digest/shape the router derived itself.
+  /// The client's staged graph: the SubmitGraphBinary payload backends
+  /// are staged with, plus the digest/shape the router derived itself.
+  /// A binary submit is kept verbatim; a text submit is kept as the
+  /// inline hgb of the graph the router parsed, so backends validate
+  /// and adopt it instead of parsing the text a second time.
   struct ConnGraph {
     bool have = false;
-    FrameTag tag = FrameTag::kSubmitGraph;
     std::vector<std::uint8_t> payload;
     std::uint64_t digest = 0;
     std::uint32_t vertices = 0;
@@ -243,10 +244,12 @@ struct Router::Impl {
 
   // --- graph submission -----------------------------------------------------
 
-  /// Derives digest/shape from a SubmitGraph payload the same way the
-  /// backend will. The parsed graph is dropped immediately — the router
-  /// holds bytes, not instances. Returns false to drop the connection.
-  bool handle_submit(Socket& sock, FrameTag tag, const Frame& frame,
+  /// Derives digest/shape from a submit payload and keeps what backends
+  /// will be staged with. Text is parsed here once and restaged as an
+  /// inline SubmitGraphBinary, whose content digest the backend
+  /// validates before adopting it; binary payloads go out verbatim.
+  /// Returns false to drop the connection.
+  bool handle_submit(Socket& sock, FrameTag tag, Frame& frame,
                      ConnGraph& state) {
     PayloadReader r(frame.payload);
     const std::uint8_t kind = r.u8();
@@ -280,6 +283,7 @@ struct Router::Impl {
           send_error(sock, "unknown SubmitGraph kind " + std::to_string(kind));
           return true;
         }
+        frame.payload = std::vector<std::uint8_t>();  // `text` has it now
         parsed = hg::from_text(text);
       } else {  // kSubmitGraphBinary
         if (kind == kGraphInline) {
@@ -312,9 +316,30 @@ struct Router::Impl {
       send_error(sock, std::string("bad graph: ") + ex.what());
       return true;
     }
+    std::vector<std::uint8_t> staged;
+    if (tag == FrameTag::kSubmitGraph) {
+      // Kind byte and u32 length, then the image appended in place: one
+      // image-sized buffer, written after the text was released.
+      staged = {kGraphInline, 0, 0, 0, 0};
+      hg::append_binary(staged, parsed);
+      // hgb spends 8 bytes per incidence, so a text that fit the frame
+      // cap can outgrow it. Refuse here: a backend would drop the frame,
+      // and the router would count a healthy backend as failed.
+      if (staged.size() > opts.max_frame_bytes) {
+        send_error(sock, "graph exceeds the frame cap once staged as hgb (" +
+                             std::to_string(staged.size()) + " > " +
+                             std::to_string(opts.max_frame_bytes) + " bytes)");
+        return true;
+      }
+      const std::size_t image = staged.size() - 5;
+      for (std::size_t i = 0; i < 4; ++i) {
+        staged[1 + i] = static_cast<std::uint8_t>(image >> (8 * i));
+      }
+    } else {
+      staged = std::move(frame.payload);
+    }
     state.have = true;
-    state.tag = tag;
-    state.payload = frame.payload;
+    state.payload = std::move(staged);
     state.digest = util::graph_digest(parsed);
     state.vertices = parsed.num_vertices();
     state.edges = parsed.num_edges();
@@ -406,7 +431,8 @@ struct Router::Impl {
     ensure_ready(up, b);
     if (!up.have_graph || up.staged_digest != state.digest) {
       up.have_graph = false;
-      const Frame reply = upstream_round_trip(up, state.tag, state.payload);
+      const Frame reply = upstream_round_trip(
+          up, FrameTag::kSubmitGraphBinary, state.payload);
       if (reply.tag == FrameTag::kGraphOk) {
         PayloadReader g(reply.payload);
         const std::uint64_t digest = g.u64();
@@ -424,9 +450,10 @@ struct Router::Impl {
         write_frame(client, FrameTag::kBusy, reply.payload);
         return Attempt::kReplied;
       } else if (reply.tag == FrameTag::kError) {
-        // Request-specific rejection (e.g. a by-path file this backend
-        // cannot see). The backend is alive — no health penalty, but
-        // another ring node may still be able to serve it.
+        // Request-specific rejection: a by-path hgb file this backend
+        // cannot see or map (text is staged as a valid inline hgb, so
+        // it never lands here). The backend is alive — no health
+        // penalty, but another ring node may still be able to serve it.
         PayloadReader e(reply.payload);
         last_error = e.str();
         mark_success(b);

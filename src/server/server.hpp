@@ -15,9 +15,13 @@
 //     request); a hit returns the stored Solution, bit-identical to a
 //     fresh solo solve by the scheduler's determinism guarantee.
 //   * Admission     — at most `max_inflight` dispatched jobs and
-//     `max_queued_bytes` of admitted graph text at once; overload is
+//     `max_queued_bytes` of admitted graph bytes at once; overload is
 //     answered with a typed Busy frame carrying the current load, never
-//     with a hang or a silent queue.
+//     with a hang or a silent queue. A graph weighs what it was
+//     submitted as: text bytes, or hgb bytes for a binary submit. A
+//     text graph sent through router::Router arrives as the router's
+//     inline hgb, so it is admitted, and counted in `queued_bytes`, at
+//     its hgb size (2-3x its text size on small instances).
 //   * Graceful drain — Shutdown (or request_stop()) stops accepting,
 //     knocks idle connections loose, lets every in-flight solve finish
 //     and deliver its Result, then drains the scheduler and returns.
@@ -47,8 +51,9 @@ struct ServerOptions {
   /// Admission: maximum concurrently dispatched solve jobs. 0 rejects
   /// every solve with Busy (a drain/test mode, not a useful server).
   std::uint32_t max_inflight = 64;
-  /// Admission: maximum total graph-text bytes held by in-flight solves,
-  /// plus the per-SubmitGraph size cap.
+  /// Admission: maximum total graph bytes (text, or hgb for binary and
+  /// router-staged submits) held by in-flight solves, plus the
+  /// per-submit size cap.
   std::uint64_t max_queued_bytes = 64u << 20;
   /// Rounds a scheduler worker steps one job before requeueing it.
   std::uint32_t round_quantum = 32;

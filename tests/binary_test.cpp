@@ -306,9 +306,13 @@ TEST_F(BinaryFormat, RejectsDuplicateMembersLikeTheTextReader) {
 TEST_F(BinaryFormat, UnalignedBuffers) {
   const auto g = cycle(9, uniform_weights(4), 26);
   const auto bytes = write_binary(g);
-  // Stage the image at an odd offset inside a larger allocation.
-  std::vector<std::uint8_t> shifted(bytes.size() + 1);
-  std::copy(bytes.begin(), bytes.end(), shifted.begin() + 1);
+  // Stage the image at an odd offset inside a larger allocation, the way
+  // a wire prefix does: append_binary writes the same bytes after it.
+  std::vector<std::uint8_t> shifted{0xab};
+  append_binary(shifted, g);
+  ASSERT_EQ(shifted.size(), bytes.size() + 1);
+  EXPECT_EQ(shifted[0], 0xab);
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(), shifted.begin() + 1));
   const std::span<const std::uint8_t> view(shifted.data() + 1, bytes.size());
 
   // validate/read cope by copying to aligned scratch...

@@ -144,9 +144,9 @@ class FakeBackend {
           w.u32(server::kProtocolVersion);
           w.u32(0);
           write_frame(sock, FrameTag::kHelloOk, w.take());
-        } else if (frame.tag == FrameTag::kSubmitGraph) {
-          (void)r.u8();  // inline-text kind (the router forwards verbatim)
-          staged = hg::from_text(r.str());
+        } else if (frame.tag == FrameTag::kSubmitGraphBinary) {
+          (void)r.u8();  // inline: the router stages text submits as hgb
+          staged = hg::read_binary(r.bytes());
           have_graph = true;
           PayloadWriter w;
           w.u64(util::graph_digest(staged));
@@ -677,6 +677,81 @@ TEST(Router, BinaryGraphSubmissionRoutesLikeText) {
   const server::WireResult cold = client.solve("mwhvc");
   expect_matches_solo(cold, g, "mwhvc");
   EXPECT_TRUE(client.solve("mwhvc").cache_hit);  // same shard, warm cache
+
+  // The same graph as non-canonical text: a comment line, tabs, and
+  // every edge's members in descending order. The router parses it and
+  // stages its hgb, so the backend must agree on the digest and serve
+  // the binary submit's Result.
+  std::string text = "# members unsorted, tab separated\nhypergraph";
+  for (const std::uint32_t count : {g.num_vertices(), g.num_edges()}) {
+    text += '\t';
+    text += std::to_string(count);
+  }
+  text += '\n';
+  for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+    text += std::to_string(g.weight(v));
+    text += '\t';
+  }
+  text += "\n";
+  for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
+    const auto members = g.vertices_of(e);
+    text += std::to_string(members.size());
+    for (auto it = members.rbegin(); it != members.rend(); ++it) {
+      text += '\t';
+      text += std::to_string(*it);
+    }
+    text += "\n";
+  }
+  ASSERT_NE(text, hg::to_text(g));
+  const server::GraphInfo text_info = client.submit_graph_text(text);
+  EXPECT_EQ(text_info.digest, util::graph_digest(hg::from_text(text)));
+  EXPECT_EQ(text_info.digest, info.digest);
+  const server::WireResult warm = client.solve("mwhvc");
+  EXPECT_TRUE(warm.cache_hit);
+  EXPECT_EQ(warm.solve_digest, cold.solve_digest);
+  EXPECT_EQ(warm.transcript_hash, cold.transcript_hash);
+  EXPECT_EQ(warm.in_cover, cold.in_cover);
+  EXPECT_EQ(warm.duals, cold.duals);
+  EXPECT_EQ(warm.cover_weight, cold.cover_weight);
+}
+
+// A text that fits the frame cap can outgrow it once the router stages
+// it as hgb. The router must refuse it at submit time: a backend would
+// drop the oversized frame and the router would count a healthy backend
+// as failed.
+TEST(Router, StagedGraphOverTheFrameCapIsRefusedAtSubmit) {
+  namespace ts = testing_sessions;
+  constexpr std::uint32_t kCap = 1500;
+  server::ServerOptions backend_opts;
+  backend_opts.max_frame_bytes = kCap;
+  TestBackend b0(backend_opts);
+  router::RouterOptions opts;
+  opts.max_frame_bytes = kCap;
+  TestRouter rt({b0.address()}, opts);
+  const hg::Hypergraph g = test_graph(17);
+  const std::string text = hg::to_text(g);
+  ASSERT_LT(text.size() + 5, kCap);
+  ASSERT_GT(hg::write_binary(g).size(), kCap);
+
+  server::Client client = rt.client();
+  const char* kAttempts = "hc_router_attempts_total";
+  const std::uint64_t attempts_before =
+      ts::scraped_counter(client.metrics_text(), kAttempts);
+  EXPECT_THROW((void)client.submit_graph_text(text), server::RemoteError);
+  // Nothing was staged, so a Solve has no graph to route.
+  EXPECT_THROW((void)client.solve("mwhvc"), server::RemoteError);
+  EXPECT_EQ(ts::scraped_counter(client.metrics_text(), kAttempts),
+            attempts_before);
+  EXPECT_EQ(b0.server().stats().connections, 0u);
+  const auto snaps = rt.router().backend_snapshots();
+  EXPECT_TRUE(snaps[0].healthy);
+  EXPECT_EQ(snaps[0].failures, 0u);
+  // The connection survives, and a graph whose hgb fits is served.
+  const hg::Hypergraph small =
+      hg::random_uniform(8, 6, 3, hg::exponential_weights(8), 3);
+  ASSERT_LT(hg::write_binary(small).size() + 5, kCap);
+  (void)client.submit_graph_text(hg::to_text(small));
+  expect_matches_solo(client.solve("mwhvc"), small, "mwhvc");
 }
 
 }  // namespace
