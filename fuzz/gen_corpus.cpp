@@ -98,6 +98,21 @@ int main(int argc, char** argv) {
              "7 1 9   # weights\n"
              "2 0 2\n"
              "\t3 0 1 2\n");
+  // The scanner's edges: CRLF line ends, '+' signs, a comment that ends
+  // the input with no newline, and a token past INT64_MAX (rejected).
+  std::string crlf;
+  for (const char c : hg::to_text(g)) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  write_file(outdir / "text_reader" / "crlf.txt", crlf);
+  write_file(outdir / "text_reader" / "plus_signs.txt",
+             "hypergraph +3 +2\n+7 +1 9223372036854775807\n+2 +0 +2\n"
+             "3 0 +1 2\n");
+  write_file(outdir / "text_reader" / "comment_eof.txt",
+             "hypergraph 2 1\n1 1\n2 0 1 # no newline after this");
+  write_file(outdir / "text_reader" / "overflow.txt",
+             "hypergraph 2 1\n1 9223372036854775808\n2 0 1\n");
 
   // --- binary_validate -----------------------------------------------------
   write_file(outdir / "binary_validate" / "small.hgb", hg::write_binary(g));

@@ -28,6 +28,7 @@ import argparse
 import datetime
 import json
 import pathlib
+import statistics
 import subprocess
 import sys
 
@@ -105,6 +106,38 @@ def summarize(raw):
                 point[key] = value
         points.append(point)
     return points
+
+
+# e14: the mapped load of the largest instance must beat its text parse
+# by this factor, each leg taken as the median of its repetitions (e14
+# runs 5 of >= 0.1 s). With the std::from_chars text reader, 22 runs on
+# a 4-CPU host measured 4.2-6.4x (median 4.9x; parse 37-58 ms, map
+# 6.9-12.5 ms). 2.5x sits well below every run and still makes hgb load
+# 2.5 times faster than the fast reader.
+PARSE_VS_MAP_MIN = 2.5
+
+# e14: the largest instance's mapped load (median of its repetitions)
+# may be at most this much slower than in the newest prior record made
+# on a multi-CPU host. The ratio alone lets the map leg slow down by
+# about 2x before it fails. Between consecutive runs of those 22 the map
+# leg moved by 0.67-1.41x with no code change, so a tighter bound would
+# fail on host noise.
+MAP_DRIFT_MAX = 1.5
+
+
+def parse_vs_map_times(record):
+    """e14 load times as {n: {mode: [real_time per repetition]}}. Names
+    look like BM_ParseVsMapDigestGuard/120000/1/min_time:0.100/repeats:5/
+    real_time; parts[1] is the instance size n, parts[2] the mode (0 text
+    parse, 1 mmap + validate + adopt)."""
+    loads = {}
+    for p in record.get("benchmarks", []):
+        parts = p["name"].split("/")
+        if "ParseVsMap" in parts[0] and len(parts) >= 3 \
+                and p.get("real_time"):
+            loads.setdefault(parts[1], {}).setdefault(parts[2], []) \
+                .append(p["real_time"])
+    return loads
 
 
 def check_gates(run_record, prior_runs=(), out=sys.stderr):
@@ -198,33 +231,47 @@ def check_gates(run_record, prior_runs=(), out=sys.stderr):
               f"{status}", file=out)
         ok = ok and good
 
-    # Gate: hgb mmap ingestion vs text parse, in load wall time. Names
-    # look like BM_ParseVsMapDigestGuard/120000/1/real_time; parts[1] is
-    # the instance size n, mode 0 the text parse, mode 1 the mmap +
-    # validate + adopt path. Enforced (>= 10x faster on the LARGEST
-    # instance) on multi-CPU hosts; on a 1-CPU host the ratio is just
-    # reported, consistent with the other gates.
-    loads = {}
-    for p in run_record["benchmarks"]:
-        parts = p["name"].split("/")
-        if "ParseVsMap" in parts[0] and len(parts) >= 3 \
-                and p.get("real_time"):
-            loads.setdefault(parts[1], {})[parts[2]] = p
+    # Gates: hgb mmap ingestion vs text parse, in load wall time (ms),
+    # each leg the median of its repetitions. The mapped load must beat
+    # the parse by >= PARSE_VS_MAP_MIN on the LARGEST instance, and that
+    # mapped load must not drift > MAP_DRIFT_MAX against the newest prior
+    # multi-CPU record. Both are enforced on multi-CPU hosts; on a 1-CPU
+    # host the ratio is just reported, consistent with the other gates.
+    loads = parse_vs_map_times(run_record)
     largest = max((int(n) for n in loads), default=None)
     for n, modes in sorted(loads.items(), key=lambda kv: int(kv[0])):
         parse, mapped = modes.get("0"), modes.get("1")
         if parse is None or mapped is None:
             continue
-        ratio = parse["real_time"] / max(mapped["real_time"], 1e-9)
+        parse_ms = statistics.median(parse)
+        map_ms = statistics.median(mapped)
+        ratio = parse_ms / max(map_ms, 1e-9)
         enforced = int(n) == largest and num_cpus >= 2
-        good = ratio >= 10.0 if enforced else True
+        good = ratio >= PARSE_VS_MAP_MIN if enforced else True
         status = "ok" if good else "REGRESSION"
         if not enforced and num_cpus < 2:
             status += " (report-only: 1 CPU)"
-        print(f"ParseVsMap/{n}: parse {parse['real_time']:.2f} vs mmap "
-              f"{mapped['real_time']:.2f} {parse.get('time_unit', 'ms')} "
-              f"({ratio:.1f}x) {status}", file=out)
+        print(f"ParseVsMap/{n}: parse {parse_ms:.2f} vs mmap {map_ms:.2f} "
+              f"ms, medians of {len(parse)}/{len(mapped)} ({ratio:.1f}x) "
+              f"{status}", file=out)
         ok = ok and good
+    if num_cpus >= 2 and largest is not None \
+            and "1" in loads[str(largest)]:
+        base = None
+        for old_run in prior_runs:
+            if (old_run.get("host", {}).get("num_cpus") or 1) < 2:
+                continue
+            old = parse_vs_map_times(old_run).get(str(largest), {}).get("1")
+            if old:
+                base = statistics.median(old)
+        if base:
+            map_ms = statistics.median(loads[str(largest)]["1"])
+            drift = map_ms / base
+            good = drift <= MAP_DRIFT_MAX
+            status = "ok" if good else "REGRESSION"
+            print(f"ParseVsMap/{largest}: mmap {map_ms:.2f} vs prior "
+                  f"{base:.2f} ms ({drift:.2f}x) {status}", file=out)
+            ok = ok and good
 
     # Gate: engine cycles-per-agent-step drift (e11). The active-
     # scheduling end-to-end points (BM_SchedulingDigestGuard/<n>/1/
@@ -383,8 +430,10 @@ def main():
         "1.5x at concurrency 8 on multi-core hosts (report-only on 1 CPU). "
         "ParseVsMap benches compare text-parse ingestion (/0) with hgb "
         "mmap + validate + zero-copy adoption (/1), both digest-guarded; "
-        "mmap must load the largest instance >= 10x faster (report-only "
-        "on 1-CPU hosts). The active SchedulingDigestGuard points' "
+        "mmap must load the largest instance >= 2.5x faster (report-only "
+        "on 1-CPU hosts), comparing medians over the bench's repetitions, "
+        "and that mapped load must not be > 1.5x slower than in the newest "
+        "prior multi-CPU record (multi-core hosts). The active SchedulingDigestGuard points' "
         "cycles_per_step must not regress > 15% against the previous "
         "recorded run (multi-core hosts). RouterLoad benches drive the sharding router over "
         "a forked 3-backend fleet with open-loop Poisson arrivals, every "
@@ -502,15 +551,40 @@ def self_test():
          lambda: gates([server(0, 50.0), server(1, 60.0)])),
         ("server 1.2x report-only on one worker", True,
          lambda: gates([server(0, 50.0), server(1, 60.0, threads=1)])),
-        ("parse_vs_map 20x passes", True,
-         lambda: gates([load(0, 200.0), load(1, 10.0)])),
-        ("parse_vs_map 5x fails", False,
-         lambda: gates([load(0, 200.0), load(1, 40.0)])),
-        ("parse_vs_map 5x report-only on 1 cpu", True,
-         lambda: gates([load(0, 200.0), load(1, 40.0)], num_cpus=1)),
+        ("parse_vs_map 5x passes", True,
+         lambda: gates([load(0, 50.0), load(1, 10.0)])),
+        ("parse_vs_map 2.5x passes", True,
+         lambda: gates([load(0, 50.0), load(1, 20.0)])),
+        ("parse_vs_map 2x fails", False,
+         lambda: gates([load(0, 40.0), load(1, 20.0)])),
+        ("parse_vs_map 2x report-only on 1 cpu", True,
+         lambda: gates([load(0, 40.0), load(1, 20.0)], num_cpus=1)),
         ("parse_vs_map enforces only the largest instance", True,
-         lambda: gates([load(0, 200.0, n=1000), load(1, 40.0, n=1000),
-                        load(0, 400.0), load(1, 20.0)])),
+         lambda: gates([load(0, 40.0, n=1000), load(1, 20.0, n=1000),
+                        load(0, 50.0), load(1, 10.0)])),
+        ("parse_vs_map gates the median repetition", True,
+         lambda: gates([load(0, 50.0), load(0, 50.0), load(0, 10.0),
+                        load(1, 10.0), load(1, 10.0), load(1, 40.0)])),
+        ("parse_vs_map median repetition below 2.5x fails", False,
+         lambda: gates([load(0, 45.0), load(0, 40.0), load(0, 90.0),
+                        load(1, 5.0), load(1, 20.0), load(1, 20.0)])),
+        ("parse_vs_map map drift 1.4x vs prior passes", True,
+         lambda: gates([load(0, 100.0), load(1, 14.0)],
+                       prior_runs=[_record([load(1, 10.0)])])),
+        ("parse_vs_map map drift 1.6x vs prior fails at 6x", False,
+         lambda: gates([load(0, 96.0), load(1, 16.0)],
+                       prior_runs=[_record([load(1, 10.0)])])),
+        ("parse_vs_map map drift vs the newest prior only", True,
+         lambda: gates([load(0, 96.0), load(1, 16.0)],
+                       prior_runs=[_record([load(1, 10.0)]),
+                                   _record([load(1, 12.0)])])),
+        ("parse_vs_map map drift ignores 1-cpu priors", True,
+         lambda: gates([load(0, 96.0), load(1, 16.0)],
+                       prior_runs=[_record([load(1, 12.0)]),
+                                   _record([load(1, 5.0)], num_cpus=1)])),
+        ("parse_vs_map map drift not checked on 1 cpu", True,
+         lambda: gates([load(0, 96.0), load(1, 16.0)], num_cpus=1,
+                       prior_runs=[_record([load(1, 10.0)])])),
         ("engine cycle drift 1.10x vs prior passes", True,
          lambda: gates([sched(0, 500.0), sched(1, 110.0)],
                        prior_runs=[_record([sched(1, 100.0)])])),

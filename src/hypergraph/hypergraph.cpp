@@ -126,8 +126,10 @@ VertexId Builder::add_vertices(std::uint32_t count, Weight weight) {
 }
 
 EdgeId Builder::add_edge(std::span<const VertexId> members) {
-  edges_.emplace_back(members.begin(), members.end());
-  return static_cast<EdgeId>(edges_.size() - 1);
+  if (edge_offsets_.empty()) edge_offsets_.push_back(0);
+  edge_vertices_.insert(edge_vertices_.end(), members.begin(), members.end());
+  edge_offsets_.push_back(edge_vertices_.size());
+  return static_cast<EdgeId>(edge_offsets_.size() - 2);
 }
 
 EdgeId Builder::add_edge(std::initializer_list<VertexId> members) {
@@ -143,41 +145,46 @@ Hypergraph Builder::build() {
     }
   }
 
-  Hypergraph g;
-  g.own_weights_ = std::move(weights_);
-  weights_.clear();
-
-  // Edge-side CSR; sort members, validate range and distinctness.
-  g.own_edge_offsets_.assign(1, 0);
-  g.own_edge_offsets_.reserve(edges_.size() + 1);
+  // Sort each edge's members in place; validate range and distinctness.
+  if (edge_offsets_.empty()) edge_offsets_.push_back(0);
+  const std::size_t m = edge_offsets_.size() - 1;
   std::vector<std::uint32_t> degree(n, 0);
-  std::size_t total = 0;
-  for (auto& e : edges_) total += e.size();
-  g.own_edge_vertices_.reserve(total);
-  for (std::size_t i = 0; i < edges_.size(); ++i) {
-    auto& members = edges_[i];
-    if (members.empty()) {
+  std::uint32_t rank = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    VertexId* const first = edge_vertices_.data() + edge_offsets_[i];
+    VertexId* const last = edge_vertices_.data() + edge_offsets_[i + 1];
+    if (first == last) {
       throw std::invalid_argument("Builder: edge " + std::to_string(i) +
                                   " is empty");
     }
-    std::sort(members.begin(), members.end());
-    for (std::size_t j = 0; j < members.size(); ++j) {
-      if (members[j] >= n) {
+    std::sort(first, last);
+    for (const VertexId* p = first; p != last; ++p) {
+      if (*p >= n) {
         throw std::invalid_argument("Builder: edge " + std::to_string(i) +
                                     " references vertex out of range");
       }
-      if (j > 0 && members[j] == members[j - 1]) {
+      if (p != first && *p == p[-1]) {
         throw std::invalid_argument("Builder: edge " + std::to_string(i) +
                                     " has duplicate vertex " +
-                                    std::to_string(members[j]));
+                                    std::to_string(*p));
       }
-      ++degree[members[j]];
+      ++degree[*p];
     }
-    g.rank_ = std::max(g.rank_, static_cast<std::uint32_t>(members.size()));
-    g.own_edge_vertices_.insert(g.own_edge_vertices_.end(), members.begin(),
-                                members.end());
-    g.own_edge_offsets_.push_back(g.own_edge_vertices_.size());
+    rank = std::max(rank, static_cast<std::uint32_t>(last - first));
   }
+
+  Hypergraph g;
+  g.rank_ = rank;
+  g.own_weights_ = std::move(weights_);
+  g.own_edge_vertices_ = std::move(edge_vertices_);
+  g.own_edge_offsets_ = std::move(edge_offsets_);
+  // add_edge grew these by push_back; a built graph may live long (server
+  // connection state, CLI batches), so it keeps exact-size arrays.
+  g.own_edge_vertices_.shrink_to_fit();
+  g.own_edge_offsets_.shrink_to_fit();
+  weights_.clear();
+  edge_vertices_.clear();
+  edge_offsets_.clear();
 
   // Vertex-side CSR from the degree histogram.
   g.own_vertex_offsets_.assign(n + 1, 0);
@@ -188,7 +195,7 @@ Hypergraph Builder::build() {
 
   // Local max-degree table: Delta(e) = max_{v in e} degree(v), one pass
   // over the incidences so local_max_degree(e) is O(1) forever after.
-  g.own_local_max_degree_.assign(edges_.size(), 0);
+  g.own_local_max_degree_.assign(m, 0);
   for (std::size_t e = 0; e + 1 < g.own_edge_offsets_.size(); ++e) {
     std::uint32_t best = 0;
     for (std::size_t k = g.own_edge_offsets_[e];
@@ -210,7 +217,6 @@ Hypergraph Builder::build() {
   }
   // Edge ids per vertex are emitted in increasing e, hence already sorted.
 
-  edges_.clear();
   g.rebind();
   return g;
 }

@@ -168,16 +168,24 @@ class Builder {
     return static_cast<std::uint32_t>(weights_.size());
   }
   [[nodiscard]] std::uint32_t num_edges() const noexcept {
-    return static_cast<std::uint32_t>(edges_.size());
+    return static_cast<std::uint32_t>(
+        edge_offsets_.empty() ? 0 : edge_offsets_.size() - 1);
   }
 
-  /// Validates and produces the immutable hypergraph. Throws
-  /// std::invalid_argument on malformed input. The builder is left empty.
+  /// Validates and produces the immutable hypergraph, sorting each edge's
+  /// members in place and moving the edge arrays into it, trimmed to
+  /// their exact size. Throws std::invalid_argument naming the first bad
+  /// edge; the builder then keeps its vertices and edges (members possibly
+  /// reordered). On success the builder is left empty and ready for reuse.
   [[nodiscard]] Hypergraph build();
 
  private:
   std::vector<Weight> weights_;
-  std::vector<std::vector<VertexId>> edges_;
+  // Edge side in the graph's own CSR layout: edge e's members are
+  // edge_vertices_[edge_offsets_[e] .. edge_offsets_[e + 1]). The offsets
+  // start at 0 once the first edge is added and stay empty until then.
+  std::vector<VertexId> edge_vertices_;
+  std::vector<Offset> edge_offsets_;
 };
 
 }  // namespace hypercover::hg

@@ -5,6 +5,8 @@
 #include <bit>
 #include <cassert>
 #include <charconv>
+#include <cstring>
+#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -16,31 +18,56 @@ namespace hypercover::hg {
 
 namespace {
 
-/// Reads the next whitespace-separated token, skipping '#' comments.
-bool next_token(std::istream& is, std::string& tok) {
-  while (is >> tok) {
-    if (tok[0] != '#') return true;
-    std::string rest;
-    std::getline(is, rest);  // discard remainder of comment line
-  }
-  return false;
+/// C-locale whitespace: space, \t, \n, \v, \f and \r.
+constexpr bool is_space(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');
 }
 
-std::int64_t next_int(std::istream& is, const char* what) {
-  std::string tok;
-  if (!next_token(is, tok)) {
-    throw std::runtime_error(std::string("hypergraph read: missing ") + what);
+/// Tokens of the text format: runs of non-whitespace bytes, where a token
+/// that starts with '#' drops the rest of its line.
+class Scanner {
+ public:
+  explicit Scanner(std::string_view text)
+      : p_(text.data()), end_(text.data() + text.size()) {}
+
+  /// The next token, or an empty view at end of input.
+  std::string_view next() {
+    for (;;) {
+      while (p_ != end_ && is_space(*p_)) ++p_;
+      if (p_ == end_ || *p_ != '#') break;
+      const void* const nl =
+          std::memchr(p_, '\n', static_cast<std::size_t>(end_ - p_));
+      p_ = nl == nullptr ? end_ : static_cast<const char*>(nl) + 1;
+    }
+    const char* const start = p_;
+    while (p_ != end_ && !is_space(*p_)) ++p_;
+    return {start, static_cast<std::size_t>(p_ - start)};
   }
-  try {
-    std::size_t pos = 0;
-    const std::int64_t v = std::stoll(tok, &pos);
-    if (pos != tok.size()) throw std::invalid_argument(tok);
+
+  /// The next token as a decimal std::int64_t: an optional '+' or '-'
+  /// and digits, the whole token and nothing else.
+  std::int64_t next_int(const char* what) {
+    const std::string_view tok = next();
+    if (tok.empty()) {
+      throw std::runtime_error(std::string("hypergraph read: missing ") + what);
+    }
+    const char* first = tok.data();
+    const char* const last = first + tok.size();
+    // from_chars takes '-' but not '+'; a '+' may not precede a '-'.
+    if (*first == '+' && last - first > 1 && first[1] != '-') ++first;
+    std::int64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, v);
+    if (ec != std::errc() || ptr != last) {
+      throw std::runtime_error(std::string("hypergraph read: bad integer '") +
+                               std::string(tok) + "' for " + what);
+    }
     return v;
-  } catch (const std::exception&) {
-    throw std::runtime_error(std::string("hypergraph read: bad integer '") +
-                             tok + "' for " + what);
   }
-}
+
+ private:
+  const char* p_;
+  const char* end_;
+};
 
 constexpr std::string_view kHeader = "hypergraph ";
 
@@ -77,18 +104,18 @@ void write_text(std::ostream& os, const Hypergraph& g) {
   os.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
-Hypergraph read_text(std::istream& is) {
-  std::string tok;
-  if (!next_token(is, tok) || tok != "hypergraph") {
+Hypergraph from_text(std::string_view text) {
+  Scanner in(text);
+  if (in.next() != "hypergraph") {
     throw std::runtime_error("hypergraph read: missing 'hypergraph' header");
   }
-  const auto n = next_int(is, "vertex count");
-  const auto m = next_int(is, "edge count");
+  const auto n = in.next_int("vertex count");
+  const auto m = in.next_int("edge count");
   if (n < 0 || m < 0) throw std::runtime_error("hypergraph read: negative size");
 
   Builder b;
   for (std::int64_t v = 0; v < n; ++v) {
-    const std::int64_t w = next_int(is, "weight");
+    const std::int64_t w = in.next_int("weight");
     // Validate here rather than letting Builder::build() reject it, for
     // the same reason as the duplicate check below: malformed *input* is
     // std::runtime_error; std::invalid_argument is the programmatic-API
@@ -102,13 +129,12 @@ Hypergraph read_text(std::istream& is) {
     b.add_vertex(w);
   }
   std::vector<VertexId> members;
-  std::vector<VertexId> sorted;
   for (std::int64_t e = 0; e < m; ++e) {
-    const auto k = next_int(is, "edge size");
+    const auto k = in.next_int("edge size");
     if (k <= 0) throw std::runtime_error("hypergraph read: edge size <= 0");
     members.clear();
     for (std::int64_t i = 0; i < k; ++i) {
-      const auto v = next_int(is, "edge member");
+      const auto v = in.next_int("edge member");
       if (v < 0 || v >= n) {
         throw std::runtime_error("hypergraph read: member out of range");
       }
@@ -117,27 +143,37 @@ Hypergraph read_text(std::istream& is) {
     // Reject duplicate members here (not only in Builder) so both the
     // text and binary readers enforce the same contract with the same
     // error family: malformed *input* is std::runtime_error, while
-    // std::invalid_argument stays the programmatic-API error.
-    sorted = members;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 1; i < sorted.size(); ++i) {
-      if (sorted[i] == sorted[i - 1]) {
-        throw std::runtime_error("hypergraph read: edge " + std::to_string(e) +
-                                 " has duplicate vertex " +
-                                 std::to_string(sorted[i]));
-      }
+    // std::invalid_argument stays the programmatic-API error. Members go
+    // to the Builder sorted, which its own sort then finds in order.
+    std::sort(members.begin(), members.end());
+    const auto dup = std::adjacent_find(members.begin(), members.end());
+    if (dup != members.end()) {
+      throw std::runtime_error("hypergraph read: edge " + std::to_string(e) +
+                               " has duplicate vertex " +
+                               std::to_string(*dup));
     }
     b.add_edge(std::span<const VertexId>(members));
   }
   // A complete graph must be followed by end-of-input (comments aside):
   // trailing tokens mean a malformed or truncated-header instance, and
   // silently ignoring them used to mask exactly that.
-  std::string trailing;
-  if (next_token(is, trailing)) {
-    throw std::runtime_error("hypergraph read: trailing token '" + trailing +
-                             "' after the last edge");
+  const std::string_view trailing = in.next();
+  if (!trailing.empty()) {
+    throw std::runtime_error("hypergraph read: trailing token '" +
+                             std::string(trailing) + "' after the last edge");
   }
   return b.build();
+}
+
+Hypergraph read_text(std::istream& is) {
+  std::string text;
+  if (const std::istream::sentry ok(is, /*noskipws=*/true); ok) {
+    std::ostringstream buf;
+    buf << is.rdbuf();
+    text = std::move(buf).str();
+  }
+  is.setstate(std::ios::eofbit);
+  return from_text(text);
 }
 
 std::string to_text(const Hypergraph& g) {
@@ -179,11 +215,6 @@ std::string to_text(const Hypergraph& g) {
   }
   assert(p == end);
   return text;
-}
-
-Hypergraph from_text(const std::string& text) {
-  std::istringstream is(text);
-  return read_text(is);
 }
 
 }  // namespace hypercover::hg

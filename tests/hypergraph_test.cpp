@@ -6,6 +6,9 @@
 
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "hypergraph/generators.hpp"
 #include "hypergraph/hypergraph.hpp"
@@ -95,6 +98,103 @@ TEST(Builder, RejectsNonPositiveWeight) {
   Builder b2;
   b2.add_vertex(-3);
   EXPECT_THROW(b2.build(), std::invalid_argument);
+}
+
+TEST(Builder, ReusedAfterBuildStartsEmpty) {
+  Builder b;
+  b.add_vertices(3, 2);
+  b.add_edge({2, 0});
+  b.add_edge({1});
+  const Hypergraph first = b.build();
+  EXPECT_EQ(b.num_vertices(), 0u);
+  EXPECT_EQ(b.num_edges(), 0u);
+
+  // The second graph sees nothing of the first.
+  b.add_vertices(2, 5);
+  b.add_edge({1, 0});
+  const Hypergraph second = b.build();
+  ASSERT_EQ(second.num_vertices(), 2u);
+  ASSERT_EQ(second.num_edges(), 1u);
+  EXPECT_EQ(second.weight(0), 5);
+  EXPECT_EQ(second.num_incidences(), 2u);
+  EXPECT_EQ(second.vertices_of(0)[0], 0u);
+  EXPECT_EQ(second.vertices_of(0)[1], 1u);
+  EXPECT_EQ(to_text(second), "hypergraph 2 1\n5 5\n2 0 1\n");
+  EXPECT_EQ(to_text(first), "hypergraph 3 2\n2 2 2\n2 0 2\n1 1\n");
+
+  // A third build with nothing added is the empty graph.
+  const Hypergraph third = b.build();
+  EXPECT_EQ(third.num_vertices(), 0u);
+  EXPECT_EQ(third.num_edges(), 0u);
+  EXPECT_EQ(to_text(third), "hypergraph 0 0\n");
+}
+
+/// The std::invalid_argument message b.build() throws, or "" if it builds.
+std::string build_error(Builder& b) {
+  try {
+    (void)b.build();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Builder, ReportsTheFirstBadEdge) {
+  const auto with_edges =
+      [](std::initializer_list<std::vector<VertexId>> edges) {
+        Builder b;
+        b.add_vertices(4, 1);
+        for (const auto& e : edges) b.add_edge(std::span<const VertexId>(e));
+        return b;
+      };
+  {  // empty, then out of range, then duplicate
+    Builder b = with_edges({{0, 1}, {}, {9}, {2, 2}});
+    EXPECT_EQ(build_error(b), "Builder: edge 1 is empty");
+  }
+  {  // out of range, then duplicate, then empty
+    Builder b = with_edges({{3, 0}, {1, 7}, {2, 2}, {}});
+    EXPECT_EQ(build_error(b), "Builder: edge 1 references vertex out of range");
+  }
+  {  // duplicate, then empty, then out of range
+    Builder b = with_edges({{0}, {1, 2}, {3, 1, 3}, {}, {4}});
+    EXPECT_EQ(build_error(b), "Builder: edge 2 has duplicate vertex 3");
+  }
+  {  // within one edge, checks follow sorted member order
+    Builder b = with_edges({{8, 1, 1}});
+    EXPECT_EQ(build_error(b), "Builder: edge 0 has duplicate vertex 1");
+    Builder c = with_edges({{8, 8, 1}});
+    EXPECT_EQ(build_error(c), "Builder: edge 0 references vertex out of range");
+  }
+  {  // a bad weight is reported before any edge
+    Builder b = with_edges({{}});
+    b.add_vertex(0);
+    EXPECT_EQ(build_error(b), "Builder: vertex 4 has non-positive weight");
+  }
+}
+
+TEST(Builder, NumEdgesTracksAddsAndBuild) {
+  Builder b;
+  EXPECT_EQ(b.num_edges(), 0u);
+  b.add_vertices(3, 1);
+  EXPECT_EQ(b.num_edges(), 0u);
+  EXPECT_EQ(b.add_edge({0, 1}), 0u);
+  EXPECT_EQ(b.add_edge({2}), 1u);
+  EXPECT_EQ(b.add_edge({1, 2, 0}), 2u);
+  EXPECT_EQ(b.num_edges(), 3u);
+  const Hypergraph g = b.build();
+  EXPECT_EQ(g.num_edges(), 3u);
+  EXPECT_EQ(b.num_edges(), 0u);
+  EXPECT_EQ(b.add_edge({0}), 0u);  // ids restart after build()
+  EXPECT_EQ(b.num_edges(), 1u);
+
+  // A failed build keeps the builder's edges.
+  Builder bad;
+  bad.add_vertex(1);
+  bad.add_edge({0});
+  bad.add_edge({0, 0});
+  EXPECT_THROW((void)bad.build(), std::invalid_argument);
+  EXPECT_EQ(bad.num_vertices(), 1u);
+  EXPECT_EQ(bad.num_edges(), 2u);
 }
 
 TEST(Builder, IsolatedVerticesAllowed) {

@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <streambuf>
+#include <string>
+#include <string_view>
 
 #include "hypergraph/generators.hpp"
 #include "hypergraph/io.hpp"
@@ -285,6 +289,191 @@ TEST(HypergraphIo, ErrorMessagesNameTheOffendingField) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("edge member"), std::string::npos)
         << e.what();
+  }
+}
+
+// The reader's token language, pinned case by case: what std::stoll
+// accepted on a whole whitespace-separated token is what is accepted.
+
+/// The runtime_error message from_text(text) throws, or "" if it parses.
+std::string read_error(std::string_view text) {
+  try {
+    (void)from_text(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(HypergraphIoTokens, LeadingPlusIsAccepted) {
+  const auto g = from_text("hypergraph +2 +1\n+3 +4\n+2 +0 +1\n");
+  ASSERT_EQ(g.num_vertices(), 2u);
+  ASSERT_EQ(g.num_edges(), 1u);
+  EXPECT_EQ(g.weight(0), 3);
+  EXPECT_EQ(g.weight(1), 4);
+  EXPECT_EQ(to_text(g), "hypergraph 2 1\n3 4\n2 0 1\n");
+  // One sign only, and '+' never before '-'.
+  EXPECT_EQ(read_error("hypergraph 1 0\n++5\n"),
+            "hypergraph read: bad integer '++5' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n+-5\n"),
+            "hypergraph read: bad integer '+-5' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n+\n"),
+            "hypergraph read: bad integer '+' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n-\n"),
+            "hypergraph read: bad integer '-' for weight");
+}
+
+TEST(HypergraphIoTokens, EveryCLocaleWhitespaceSeparates) {
+  const std::string canonical = "hypergraph 3 2\n5 6 7\n2 0 1\n2 1 2\n";
+  for (const char sep : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+    std::string text = canonical;
+    for (char& c : text) {
+      if (c == ' ' || c == '\n') c = sep;
+    }
+    const auto g = from_text(text);
+    EXPECT_EQ(to_text(g), canonical) << "separator " << int{sep};
+  }
+  // CRLF line ends read like LF ones.
+  std::string crlf;
+  for (const char c : canonical) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  EXPECT_EQ(to_text(from_text(crlf)), canonical);
+}
+
+TEST(HypergraphIoTokens, HashTokenDropsTheRestOfItsLine) {
+  // Mid-line: "9 9" after the comment token is not read.
+  EXPECT_EQ(to_text(from_text("hypergraph 2 1 #comment 9 9\n1 1\n2 0 1\n")),
+            "hypergraph 2 1\n1 1\n2 0 1\n");
+  // A bare '#' token works the same way.
+  EXPECT_EQ(to_text(from_text("hypergraph 1 0 # 5\n4\n")),
+            "hypergraph 1 0\n4\n");
+  // At the end of input with no newline, in its own token or line.
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1\n# end"), "");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1 #end"), "");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1 #"), "");
+  // Only '\n' ends a comment: a lone '\r' does not.
+  EXPECT_EQ(read_error("hypergraph 1 0 #x\r7\n4\n"), "");
+  EXPECT_EQ(from_text("hypergraph 1 0 #x\r7\n4\n").weight(0), 4);
+  // '#' inside a token is not a comment.
+  EXPECT_EQ(read_error("hypergraph 1 0\n1#\n"),
+            "hypergraph read: bad integer '1#' for weight");
+  EXPECT_EQ(read_error("hypergraph# 1 0\n1\n"),
+            "hypergraph read: missing 'hypergraph' header");
+}
+
+TEST(HypergraphIoTokens, Int64RangeIsExact) {
+  const auto g = from_text("hypergraph 1 0\n9223372036854775807\n");
+  EXPECT_EQ(g.weight(0), std::numeric_limits<Weight>::max());
+  // 2^63 overflows, signed or not.
+  EXPECT_EQ(read_error("hypergraph 1 0\n9223372036854775808\n"),
+            "hypergraph read: bad integer '9223372036854775808' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n+9223372036854775808\n"),
+            "hypergraph read: bad integer '+9223372036854775808' for weight");
+  // 20-digit values are out of range.
+  EXPECT_EQ(read_error("hypergraph 1 0\n18446744073709551616\n"),
+            "hypergraph read: bad integer '18446744073709551616' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n99999999999999999999\n"),
+            "hypergraph read: bad integer '99999999999999999999' for weight");
+  // INT64_MIN parses, and is then rejected as a weight, not as a token.
+  EXPECT_EQ(read_error("hypergraph 1 0\n-9223372036854775808\n"),
+            "hypergraph read: weight -9223372036854775808 of vertex 0 is "
+            "not positive");
+  // Leading zeros do not count against the range.
+  EXPECT_EQ(from_text("hypergraph 1 0\n000000000000000000000007\n").weight(0),
+            7);
+}
+
+TEST(HypergraphIoTokens, EmbeddedNulIsRejected) {
+  using namespace std::string_view_literals;
+  // NUL is not whitespace, so it joins the token around it. The message
+  // quotes that token, so what() (a C string) ends at the NUL.
+  EXPECT_EQ(read_error("hypergraph 1 0\n5\0\n"sv),
+            "hypergraph read: bad integer '5");
+  EXPECT_EQ(read_error("hypergraph 1 0\n\0\n"sv),
+            "hypergraph read: bad integer '");
+  EXPECT_EQ(read_error("hypergraph 1 0\n5\n\0"sv),
+            "hypergraph read: trailing token '");
+  EXPECT_EQ(read_error("hypergraph\0 1 0\n5\n"sv),
+            "hypergraph read: missing 'hypergraph' header");
+  // Inside a comment it is dropped with the rest of the line.
+  EXPECT_EQ(read_error("hypergraph 1 0\n5 #\0\n"sv), "");
+}
+
+TEST(HypergraphIoTokens, ErrorMessagesAreUnchanged) {
+  EXPECT_EQ(read_error("hypergraph 2 0\n12x 5\n"),
+            "hypergraph read: bad integer '12x' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n1.5\n"),
+            "hypergraph read: bad integer '1.5' for weight");
+  EXPECT_EQ(read_error("hypergraph 1 0\n0x10\n"),
+            "hypergraph read: bad integer '0x10' for weight");
+  EXPECT_EQ(read_error("hypergraph x 0\n"),
+            "hypergraph read: bad integer 'x' for vertex count");
+  EXPECT_EQ(read_error("hypergraph 1 y\n"),
+            "hypergraph read: bad integer 'y' for edge count");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\nz\n"),
+            "hypergraph read: bad integer 'z' for edge size");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 q\n"),
+            "hypergraph read: bad integer 'q' for edge member");
+  EXPECT_EQ(read_error(""), "hypergraph read: missing 'hypergraph' header");
+  EXPECT_EQ(read_error("hypergraph 3"),
+            "hypergraph read: missing edge count");
+  EXPECT_EQ(read_error("hypergraph 3 0\n1 2\n"),
+            "hypergraph read: missing weight");
+  EXPECT_EQ(read_error("hypergraph -1 0\n"), "hypergraph read: negative size");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n0\n"),
+            "hypergraph read: edge size <= 0");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 5\n"),
+            "hypergraph read: member out of range");
+  EXPECT_EQ(read_error("hypergraph 4 1\n1 1 1 1\n4 3 1 3 1\n"),
+            "hypergraph read: edge 0 has duplicate vertex 1");
+  EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1\njunk\n"),
+            "hypergraph read: trailing token 'junk' after the last edge");
+}
+
+/// A stream buffer that cannot seek and hands out a few bytes per
+/// underflow, like a pipe.
+class TrickleBuf : public std::streambuf {
+ public:
+  explicit TrickleBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  int_type underflow() override {
+    if (gptr() != egptr()) return traits_type::to_int_type(*gptr());
+    if (pos_ == text_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(3, text_.size() - pos_);
+    char* p = text_.data() + pos_;
+    pos_ += n;
+    setg(p, p, p + n);
+    return traits_type::to_int_type(*p);
+  }
+
+ private:
+  std::string text_;
+  std::size_t pos_ = 0;
+};
+
+TEST(HypergraphIo, ReadTextReadsWhatIsLeftOfAnyStream) {
+  const Hypergraph g = random_uniform(200, 500, 3, exponential_weights(30), 5);
+  const std::string text = to_text(g);
+  {  // A pipe-like buffer that cannot seek.
+    TrickleBuf buf(text);
+    std::istream is(&buf);
+    EXPECT_EQ(to_text(read_text(is)), text);
+    EXPECT_TRUE(is.eof());
+  }
+  {  // A prefix already consumed by the caller.
+    std::istringstream is("prefix " + text);
+    std::string word;
+    is >> word;
+    EXPECT_EQ(to_text(read_text(is)), text);
+    EXPECT_TRUE(is.eof());
+  }
+  {  // A failed stream reads as empty input.
+    std::istringstream is(text);
+    is.setstate(std::ios::failbit);
+    EXPECT_THROW((void)read_text(is), std::runtime_error);
   }
 }
 
