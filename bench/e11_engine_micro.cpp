@@ -13,8 +13,11 @@
 #include "hypergraph/generators.hpp"
 #include "hypergraph/weights.hpp"
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <vector>
 
 namespace {
@@ -75,9 +78,27 @@ void BM_SolveKmwEndToEnd(benchmark::State& state) {
 BENCHMARK(BM_SolveKmwEndToEnd)->Arg(1000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// Sharded engine scaling: the same MWHVC solve at 1/2/4/8 worker threads.
+/// Minor page faults of the whole process so far (every thread).
+double minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_minflt);
+}
+
+double ms_between(std::chrono::steady_clock::time_point a,
+                  std::chrono::steady_clock::time_point b) {
+  return std::chrono::duration<double, std::milli>(b - a).count();
+}
+
+// Sharded engine scaling: the same MWHVC solve at 1/2/4/8 worker threads,
+// on the engine_solve perfbench instance size (n = 10k) and at n = 100k.
 // The digest guard makes this double as a correctness check — a parallel
-// run that drifted from the sequential transcript aborts the bench.
+// run that drifted from the sequential transcript aborts the bench. The
+// solve drives an MwhvcRun by hand (what solve_mwhvc does) so it can also
+// report, per solve, the construction time (make_run_ms: engine, agents,
+// mailboxes, and the pool when threads > 1), the destruction time
+// (teardown_ms) and the process's minor page faults (minflt_per_solve).
+// These are report-only counters.
 void BM_EngineParallelSolve(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
   const auto threads = static_cast<std::uint32_t>(state.range(1));
@@ -89,8 +110,20 @@ void BM_EngineParallelSolve(benchmark::State& state) {
       core::solve_mwhvc(g, opts).net.transcript_hash;
   opts.engine.threads = threads;
   bench::Metrics last;
+  double make_ms = 0, teardown_ms = 0, faults = 0;
   for (auto _ : state) {
-    const auto res = core::solve_mwhvc(g, opts);
+    const double faults0 = minor_faults();
+    const auto t0 = std::chrono::steady_clock::now();
+    auto run = std::make_unique<core::MwhvcRun>(g, opts);
+    const auto t1 = std::chrono::steady_clock::now();
+    api::drive(*run);
+    const core::MwhvcResult res = run->finish_result();
+    const auto t2 = std::chrono::steady_clock::now();
+    run.reset();
+    const auto t3 = std::chrono::steady_clock::now();
+    faults += minor_faults() - faults0;
+    make_ms += ms_between(t0, t1);
+    teardown_ms += ms_between(t2, t3);
     if (res.net.transcript_hash != want_digest) {
       throw std::runtime_error("parallel run diverged from sequential digest");
     }
@@ -99,10 +132,20 @@ void BM_EngineParallelSolve(benchmark::State& state) {
   }
   state.counters["threads"] = threads;
   state.counters["rounds"] = last.rounds;
+  state.counters["make_run_ms"] =
+      benchmark::Counter(make_ms, benchmark::Counter::kAvgIterations);
+  state.counters["teardown_ms"] =
+      benchmark::Counter(teardown_ms, benchmark::Counter::kAvgIterations);
+  state.counters["minflt_per_solve"] =
+      benchmark::Counter(faults, benchmark::Counter::kAvgIterations);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(last.messages));
 }
 BENCHMARK(BM_EngineParallelSolve)
+    ->Args({10000, 1})
+    ->Args({10000, 2})
+    ->Args({10000, 4})
+    ->Args({10000, 8})
     ->Args({100000, 1})
     ->Args({100000, 2})
     ->Args({100000, 4})

@@ -1,6 +1,8 @@
 #include "baselines/kvy.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "baselines/run_state.hpp"
@@ -55,22 +57,26 @@ struct Shared {
   double beta = 0;
 };
 
+/// `active` is the vertex's still-uncovered links as local indices in
+/// ascending order: a span over a run-owned array laid out over the vertex
+/// CSR, compacted in place as links get covered, so the sum_delta fold and
+/// the sends keep edges_of(v) order.
 struct KvyVertexAgent {
   const Shared* cfg = nullptr;
   double weight = 0;
-  std::uint32_t degree = 0;
-  std::vector<std::uint8_t> active;
-  std::uint32_t active_count = 0;
+  std::span<std::uint32_t> active;
   double sum_delta = 0;
   bool in_cover_flag = false;
   bool halted_flag = false;
 
-  void configure(const Shared* shared, hg::VertexId v) {
+  /// `links` holds one element per incident edge and must outlive the
+  /// agent.
+  void configure(const Shared* shared, hg::VertexId v,
+                 std::span<std::uint32_t> links) {
     cfg = shared;
     weight = static_cast<double>(cfg->graph->weight(v));
-    degree = cfg->graph->degree(v);
-    active.assign(degree, 1);
-    active_count = degree;
+    active = links;
+    for (std::uint32_t k = 0; k < active.size(); ++k) active[k] = k;
   }
 
   template <class Ctx>
@@ -78,27 +84,25 @@ struct KvyVertexAgent {
     const std::uint32_t r = ctx.round();
     if (r % 2 == 1) return;  // edge rounds
     if (r == 0) {
-      if (degree == 0) {
+      if (active.empty()) {
         halted_flag = true;
         return;
       }
       send_resid(ctx);
       return;
     }
-    // Fold edge bids / coverage.
+    // Fold edge bids / coverage; drop covered links in place.
     const auto in = ctx.inbox();
-    for (std::uint32_t k = 0; k < degree; ++k) {
-      if (!active[k]) continue;
-      const EMsg* m = in.get(k);
-      if (m == nullptr) continue;
-      if (m->tag == ETag::kCovered) {
-        active[k] = 0;
-        --active_count;
-      } else {
+    std::size_t out = 0;
+    for (const std::uint32_t k : active) {
+      if (const EMsg* m = in.get(k); m != nullptr) {
+        if (m->tag == ETag::kCovered) continue;
         sum_delta += m->min_resid / static_cast<double>(m->min_degree);
       }
+      active[out++] = k;
     }
-    if (active_count == 0) {
+    active = active.first(out);
+    if (active.empty()) {
       halted_flag = true;
       return;
     }
@@ -107,9 +111,7 @@ struct KvyVertexAgent {
       halted_flag = true;
       VMsg m;
       m.tag = VTag::kCovered;
-      for (std::uint32_t k = 0; k < degree; ++k) {
-        if (active[k]) ctx.send(k, m);
-      }
+      for (const std::uint32_t k : active) ctx.send(k, m);
       return;
     }
     send_resid(ctx);
@@ -120,10 +122,8 @@ struct KvyVertexAgent {
     VMsg m;
     m.tag = VTag::kResid;
     m.resid = weight - sum_delta;
-    m.degree = active_count;
-    for (std::uint32_t k = 0; k < degree; ++k) {
-      if (active[k]) ctx.send(k, m);
-    }
+    m.degree = static_cast<std::uint32_t>(active.size());
+    for (const std::uint32_t k : active) ctx.send(k, m);
   }
 
   [[nodiscard]] bool halted() const noexcept { return halted_flag; }
@@ -190,7 +190,10 @@ struct Protocol {
 }  // namespace
 
 struct KvyRun::Impl
-    : detail::BaselineRunState<Protocol, KvyOptions, Shared> {};
+    : detail::BaselineRunState<Protocol, KvyOptions, Shared> {
+  // The vertex agents' active links over the vertex CSR.
+  std::unique_ptr<std::uint32_t[]> links;
+};
 
 KvyRun::KvyRun(const hg::Hypergraph& g, const KvyOptions& opts) {
   if (!(opts.eps > 0.0) || opts.eps > 1.0) {
@@ -208,8 +211,12 @@ KvyRun::KvyRun(const hg::Hypergraph& g, const KvyOptions& opts) {
   shared.beta = core::beta_for(f, opts.eps);
 
   congest::Engine<Protocol>& eng = *impl_->eng;
+  impl_->links =
+      std::make_unique_for_overwrite<std::uint32_t[]>(g.num_incidences());
+  std::uint32_t* links = impl_->links.get();
   for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-    eng.vertex_agents()[v].configure(&shared, v);
+    eng.vertex_agents()[v].configure(&shared, v, {links, g.degree(v)});
+    links += g.degree(v);
   }
   for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
     eng.edge_agents()[e].configure(&shared, e);

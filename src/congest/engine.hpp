@@ -31,13 +31,17 @@
 // is therefore a pure function of (hypergraph, agent construction) — with
 // any Options::threads value and either Options::scheduling mode.
 //
-// Mailbox layout: each direction's mailboxes are a payload array and a
-// uint8 presence lane over the receiver-side CSR, double-buffered. A send
-// stores the payload and writes its bit size into the presence byte (1..254
-// exact, 255 = "present, reread the payload"), so a present slot is any
-// nonzero byte. Under kActive each shard also marks the 64-slot presence
-// lines it writes in a small per-direction bitmap; under kDense every line
-// counts as marked. Accounting walks the marked lines in ascending order
+// Mailbox layout: each direction's mailboxes are a payload lane and a
+// uint8 presence lane over the receiver-side CSR, double-buffered. All
+// eight lanes live in one allocation per engine, each 64-byte aligned.
+// Only the presence lanes are zeroed; the payload lanes start
+// uninitialized (poisoned in debug builds), because no payload is read
+// unless its presence byte is nonzero. A send stores the payload and
+// writes its bit size into the presence byte (1..254 exact, 255 =
+// "present, reread the payload"), so a present slot is any nonzero byte.
+// Under kActive each shard also marks the 64-slot presence lines it
+// writes in a small per-direction bitmap; under kDense every line counts
+// as marked. Accounting walks the marked lines in ascending order
 // and the nonzero bytes of each line in ascending order, reading bit sizes
 // from the lane; retiring a buffer memsets the same lines.
 //
@@ -75,12 +79,14 @@
 #include <bit>
 #include <cassert>
 #include <concepts>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "congest/cycles.hpp"
@@ -135,24 +141,42 @@ inline void mark_line(std::uint64_t* lines, std::size_t slot) noexcept {
 
 /// Per-direction mailbox: one slot per network link, flat over the CSR
 /// positions of the receiving side, double-buffered (current / next).
-/// The presence lanes are padded to whole lines; the padding stays zero.
+/// The lanes point into the engine's mailbox block; the presence lanes
+/// are padded to whole lines and the padding stays zero.
 template <class M>
 struct Mailbox {
-  std::vector<M> current, next;
-  std::vector<std::uint8_t> current_present, next_present;
+  M* current = nullptr;
+  M* next = nullptr;
+  std::uint8_t* current_present = nullptr;
+  std::uint8_t* next_present = nullptr;
+  std::size_t present_bytes = 0;  // per presence lane, whole lines
   // One bit per presence line that may hold a message; wiped on retire.
   std::vector<std::uint64_t> current_lines, next_lines;
 
-  void init(std::size_t links) {
-    const std::size_t lines = (links + kLineSlots - 1) / kLineSlots;
-    current.resize(links);
-    next.resize(links);
-    current_present.assign(lines * kLineSlots, 0);
-    next_present.assign(lines * kLineSlots, 0);
+  /// Bytes of one payload lane for `links` slots, rounded to a line.
+  static std::size_t payload_bytes(std::size_t links) noexcept {
+    return (links * sizeof(M) + kLineSlots - 1) / kLineSlots * kLineSlots;
+  }
+
+  /// Points the lanes at `payload` (two payload lanes) and `present` (two
+  /// zeroed presence lanes of `lines` lines each) and advances both.
+  void place(std::byte*& payload, std::uint8_t*& present, std::size_t links,
+             std::size_t lines) {
+    current = reinterpret_cast<M*>(payload);
+    next = reinterpret_cast<M*>(payload + payload_bytes(links));
+    payload += 2 * payload_bytes(links);
+    present_bytes = lines * kLineSlots;
+    current_present = present;
+    next_present = present + present_bytes;
+    present += 2 * present_bytes;
     current_lines.assign((lines + 63) / 64, 0);
     next_lines.assign((lines + 63) / 64, 0);
   }
 };
+
+/// Byte the payload lanes are filled with in debug builds, so a read of a
+/// slot that was never sent shows up as garbage.
+inline constexpr int kPayloadPoison = 0xA5;
 
 /// Zero-copy view of one agent's incoming mailbox slots — the contiguous
 /// segment [base, base + fan) of the receiver-side CSR. Protocols grab
@@ -333,8 +357,7 @@ class Engine {
            std::numeric_limits<std::uint32_t>::max());
     vertex_agents_.resize(graph.num_vertices());
     edge_agents_.resize(graph.num_edges());
-    to_edge_.init(graph.num_incidences());
-    to_vertex_.init(graph.num_incidences());
+    init_mailboxes();
     build_slot_bases();
     if (options_.pool != nullptr) {
       // External-pool mode: run rounds on the borrowed pool (its size
@@ -405,8 +428,8 @@ class Engine {
     if (options_.scheduling == Scheduling::kDense) {
       step_round_dense();
       stats_.step_cycles += cycle_now() - t0;
-      mark_every_line(to_edge_.next_lines, to_edge_.next_present.size());
-      mark_every_line(to_vertex_.next_lines, to_vertex_.next_present.size());
+      mark_every_line(to_edge_.next_lines, to_edge_.present_bytes);
+      mark_every_line(to_vertex_.next_lines, to_vertex_.present_bytes);
     } else {
       dispatch_frontier();
       stats_.step_cycles += cycle_now() - t0;
@@ -513,8 +536,38 @@ class Engine {
   [[nodiscard]] detail::Inbox<M> make_inbox(const detail::Mailbox<M>& buf,
                                             std::size_t base,
                                             std::uint32_t fan) const noexcept {
-    return detail::Inbox<M>(buf.current.data() + base,
-                            buf.current_present.data() + base, fan);
+    return detail::Inbox<M>(buf.current + base, buf.current_present + base,
+                            fan);
+  }
+
+  /// Makes the one allocation behind both directions' mailboxes: four
+  /// payload lanes, then four presence lanes, each line-aligned. Only the
+  /// presence lanes are zeroed.
+  void init_mailboxes() {
+    static_assert(alignof(VertexMsg) <= detail::kLineSlots &&
+                  alignof(EdgeMsg) <= detail::kLineSlots);
+    const std::size_t links = graph_->num_incidences();
+    const std::size_t lines =
+        (links + detail::kLineSlots - 1) / detail::kLineSlots;
+    const std::size_t payload =
+        2 * (detail::Mailbox<VertexMsg>::payload_bytes(links) +
+             detail::Mailbox<EdgeMsg>::payload_bytes(links));
+    const std::size_t present = 4 * lines * detail::kLineSlots;
+    // Over-allocate and align by hand: an aligned operator new goes
+    // through memalign, whose split-off remainders fragment the heap when
+    // engines of one size are made and freed in turn.
+    std::size_t space = payload + present + detail::kLineSlots - 1;
+    mailbox_block_ = std::make_unique_for_overwrite<std::byte[]>(space);
+    void* aligned = mailbox_block_.get();
+    std::align(detail::kLineSlots, payload + present, aligned, space);
+    auto* payload_at = static_cast<std::byte*>(aligned);
+#ifndef NDEBUG
+    std::memset(payload_at, detail::kPayloadPoison, payload);
+#endif
+    auto* present_at = reinterpret_cast<std::uint8_t*>(payload_at + payload);
+    std::memset(present_at, 0, present);
+    to_edge_.place(payload_at, present_at, links, lines);
+    to_vertex_.place(payload_at, present_at, links, lines);
   }
 
   void build_slot_bases() {
@@ -786,7 +839,7 @@ class Engine {
   /// order, and with it the hash, is the same whichever lines are marked.
   template <class M>
   void account_links(const detail::Mailbox<M>& buf, std::uint64_t key_bit) {
-    const std::uint8_t* present = buf.next_present.data();
+    const std::uint8_t* present = buf.next_present;
     const std::uint32_t limit = stats_.bandwidth_limit_bits;
     const std::uint64_t round_key = std::uint64_t{round_} << 40;
     std::uint64_t hash = stats_.transcript_hash;
@@ -823,10 +876,10 @@ class Engine {
   /// Advances the double buffer and wipes the retired side's marked lines.
   template <class M>
   void swap_and_clear(detail::Mailbox<M>& buf) {
-    buf.current.swap(buf.next);
-    buf.current_present.swap(buf.next_present);
+    std::swap(buf.current, buf.next);
+    std::swap(buf.current_present, buf.next_present);
     buf.current_lines.swap(buf.next_lines);
-    std::uint8_t* present = buf.next_present.data();
+    std::uint8_t* present = buf.next_present;
     stats_.clear_slots +=
         walk_lines(buf.next_lines, stats_.dense_clear_passes,
                    stats_.sparse_clear_passes, [&](std::size_t begin) {
@@ -841,7 +894,8 @@ class Engine {
   RunStats stats_;
   std::vector<VertexAgent> vertex_agents_;
   std::vector<EdgeAgent> edge_agents_;
-  detail::Mailbox<VertexMsg> to_edge_;
+  std::unique_ptr<std::byte[]> mailbox_block_;  // backs both mailboxes
+  detail::Mailbox<VertexMsg> to_edge_;  // lanes in mailbox_block_
   detail::Mailbox<EdgeMsg> to_vertex_;
   std::vector<std::size_t> vertex_slot_base_;  // CSR bases, size n+1
   std::vector<std::size_t> edge_slot_base_;    // size m+1

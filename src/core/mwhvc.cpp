@@ -104,6 +104,8 @@ struct MwhvcRun::Impl {
   MwhvcResult res;                // derived params filled at construction
   Trace trace;
   Config cfg;
+  // The vertex agents' links over the vertex CSR (E'(v) prefixes).
+  std::unique_ptr<VertexLink[]> links;
   std::unique_ptr<Engine> eng;    // null on an edge-free instance
   InvariantChecker checker;
   std::uint32_t round = 0;
@@ -170,8 +172,12 @@ MwhvcRun::MwhvcRun(const hg::Hypergraph& g, const MwhvcOptions& opts) {
 
   impl_->eng = std::make_unique<Engine>(g, opts.engine);
   Engine& eng = *impl_->eng;
+  impl_->links = std::make_unique_for_overwrite<VertexLink[]>(
+      g.num_incidences());
+  VertexLink* links = impl_->links.get();
   for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-    eng.vertex_agents()[v].configure(&cfg, v);
+    eng.vertex_agents()[v].configure(&cfg, v, {links, g.degree(v)});
+    links += g.degree(v);
   }
   for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
     eng.edge_agents()[e].configure(&cfg, e);

@@ -27,7 +27,9 @@
 // operations, so no bid value ever travels in a message (matching
 // Appendix B item 4: only the "was multiplied by alpha" bit is sent).
 
+#include <cassert>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/params.hpp"
@@ -164,33 +166,48 @@ struct Config {
 // Agents.
 // ---------------------------------------------------------------------------
 
+/// One link of a vertex agent: its local replica of bid(e), alpha(e), and
+/// e's index in edges_of(v). MwhvcRun owns one array of them laid out over
+/// the vertex CSR; configure() writes every field.
+struct VertexLink {
+  double bid;
+  double alpha;
+  std::uint32_t local;
+};
+
+/// Keeps E'(v) as E'(v) itself. Invariant: `links_` is the prefix of the
+/// vertex's span that is still uncovered, in ascending local order. Phase
+/// C drops covered links by a stable in-place compaction, so every fold
+/// over the prefix adds in edges_of(v) order, skipping covered edges: δ,
+/// the bids and the transcript do not depend on how E'(v) is stored.
 class MwhvcVertexAgent {
  public:
-  /// Must be called on every agent before the engine runs.
-  void configure(const Config* cfg, hg::VertexId id) {
+  /// Must be called on every agent before the engine runs. `links` holds
+  /// one element per incident edge and must outlive the agent.
+  void configure(const Config* cfg, hg::VertexId id,
+                 std::span<VertexLink> links) {
+    assert(links.size() == cfg->graph->degree(id));
     cfg_ = cfg;
     id_ = id;
-    const auto& g = *cfg_->graph;
-    weight_ = static_cast<double>(g.weight(id));
-    degree_ = g.degree(id);
-    bid_.assign(degree_, 0.0);
-    alpha_.assign(degree_, 2.0);
-    active_.assign(degree_, 1);
-    active_count_ = degree_;
+    weight_ = static_cast<double>(cfg_->graph->weight(id));
+    links_ = links;
+    for (std::uint32_t k = 0; k < links_.size(); ++k) {
+      links_[k] = {0.0, 2.0, k};
+    }
   }
 
   template <class Ctx>
   void step(Ctx& ctx) {
     const std::uint32_t r = ctx.round();
     if (r == 0) {
-      if (degree_ == 0) {  // isolated vertex: nothing to cover
+      if (links_.empty()) {  // isolated vertex: nothing to cover
         halted_ = true;
         return;
       }
       VertexToEdgeMsg msg;
       msg.tag = VTag::kInitInfo;
       msg.weight = static_cast<std::int64_t>(weight_);
-      msg.degree = degree_;
+      msg.degree = active_edges();
       ctx.broadcast(msg);
       return;
     }
@@ -214,14 +231,16 @@ class MwhvcVertexAgent {
   /// Sum of bids over still-uncovered incident edges (Claim 1 LHS).
   [[nodiscard]] double active_bid_sum() const noexcept {
     double s = 0;
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      if (active_[k]) s += bid_[k];
-    }
+    for (const VertexLink& l : links_) s += l.bid;
     return s;
   }
   [[nodiscard]] double weight() const noexcept { return weight_; }
+  /// E'(v): the uncovered links, ascending local order.
+  [[nodiscard]] std::span<const VertexLink> active_links() const noexcept {
+    return links_;
+  }
   [[nodiscard]] std::uint32_t active_edges() const noexcept {
-    return active_count_;
+    return static_cast<std::uint32_t>(links_.size());
   }
   /// Iterations this vertex reported "stuck" (Trace::stuck_events share).
   [[nodiscard]] std::uint64_t stuck_count() const noexcept {
@@ -276,39 +295,39 @@ class MwhvcVertexAgent {
     // Halve the local copies now; the edge applies the same halvings in
     // phase B, plus those requested by sibling vertices (folded in phase C).
     if (incr > 0) {
-      for (std::uint32_t k = 0; k < degree_; ++k) {
-        if (active_[k]) bid_[k] = std::ldexp(bid_[k], -int(incr));
-      }
+      for (VertexLink& l : links_) l.bid = std::ldexp(l.bid, -int(incr));
     }
     pending_incr_ = incr;
     VertexToEdgeMsg msg;
     msg.tag = VTag::kLevels;
     msg.levels = incr;
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      if (active_[k]) ctx.send(k, msg);
-    }
+    send_active(ctx, msg);
   }
 
   // Phase C: fold Covered/Halved (3b/3c/3d), decide raise/stuck (3e).
   template <class Ctx>
   void phase_c(Ctx& ctx) {
     const auto in = ctx.inbox();
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      if (!active_[k]) continue;
-      const EdgeToVertexMsg* msg = in.get(k);
-      if (msg == nullptr) continue;  // never happens for active edges
-      if (msg->tag == ETag::kCovered) {
-        active_[k] = 0;  // step 3c: E'(v) <- E'(v) \ {e}; δ(e) stays frozen
-        --active_count_;
-      } else {
+    // Step 3c, E'(v) <- E'(v) \ {covered e}, as a stable compaction that
+    // also sums the surviving bids (Claim 1 LHS) in ascending local order.
+    // A covered edge's δ(e) stays frozen.
+    std::size_t out = 0;
+    double bid_sum = 0;
+    for (const VertexLink& link : links_) {
+      VertexLink l = link;
+      if (const EdgeToVertexMsg* msg = in.get(l.local); msg != nullptr) {
+        if (msg->tag == ETag::kCovered) continue;
         // Apply the halvings requested by *other* members of the edge; our
         // own pending_incr_ halvings were applied locally in phase A.
         const std::uint32_t others = msg->halvings - pending_incr_;
-        if (others > 0) bid_[k] = std::ldexp(bid_[k], -int(others));
+        if (others > 0) l.bid = std::ldexp(l.bid, -int(others));
       }
+      bid_sum += l.bid;
+      links_[out++] = l;
     }
+    links_ = links_.first(out);
     pending_incr_ = 0;
-    if (active_count_ == 0) {  // all incident edges covered: terminate
+    if (links_.empty()) {  // all incident edges covered: terminate
       halted_ = true;
       return;
     }
@@ -317,7 +336,7 @@ class MwhvcVertexAgent {
     // all-raise iteration keeps Claim 1 intact.
     const double threshold =
         std::ldexp(weight_, -(int(level_) + 1)) / alpha_max_;
-    const bool raise = active_bid_sum() <= threshold;
+    const bool raise = bid_sum <= threshold;
     if (!raise) {
       ++stuck_count_;
       if (Trace* t = cfg_->trace; t != nullptr && t->enabled) {
@@ -326,33 +345,30 @@ class MwhvcVertexAgent {
     }
     VertexToEdgeMsg msg;
     msg.tag = raise ? VTag::kRaise : VTag::kStuck;
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      if (active_[k]) ctx.send(k, msg);
-    }
+    send_active(ctx, msg);
   }
 
   template <class Ctx>
   void fold_init_replies(Ctx& ctx) {
     const auto in = ctx.inbox();
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      const EdgeToVertexMsg* msg = in.get(k);
+    for (VertexLink& l : links_) {
+      const EdgeToVertexMsg* msg = in.get(l.local);
       // Every edge replies in round 1.
-      bid_[k] = 0.5 * static_cast<double>(msg->min_weight) /
-                static_cast<double>(msg->min_degree);
-      sum_delta_ += bid_[k];
-      alpha_[k] = cfg_->alpha_for(msg->local_delta);
-      if (alpha_[k] > alpha_max_) alpha_max_ = alpha_[k];
+      l.bid = 0.5 * static_cast<double>(msg->min_weight) /
+              static_cast<double>(msg->min_degree);
+      sum_delta_ += l.bid;
+      l.alpha = cfg_->alpha_for(msg->local_delta);
+      if (l.alpha > alpha_max_) alpha_max_ = l.alpha;
     }
   }
 
   template <class Ctx>
   void fold_results(Ctx& ctx) {
     const auto in = ctx.inbox();
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      if (!active_[k]) continue;
-      const EdgeToVertexMsg* msg = in.get(k);
-      if (msg->raised != 0) bid_[k] *= alpha_[k];
-      sum_delta_ += cfg_->appendix_c ? 0.5 * bid_[k] : bid_[k];
+    for (VertexLink& l : links_) {
+      const EdgeToVertexMsg* msg = in.get(l.local);
+      if (msg->raised != 0) l.bid *= l.alpha;
+      sum_delta_ += cfg_->appendix_c ? 0.5 * l.bid : l.bid;
     }
   }
 
@@ -362,21 +378,20 @@ class MwhvcVertexAgent {
     halted_ = true;
     VertexToEdgeMsg msg;
     msg.tag = VTag::kCovered;
-    for (std::uint32_t k = 0; k < degree_; ++k) {
-      if (active_[k]) ctx.send(k, msg);
-    }
+    send_active(ctx, msg);
+  }
+
+  template <class Ctx>
+  void send_active(Ctx& ctx, const VertexToEdgeMsg& msg) {
+    for (const VertexLink& l : links_) ctx.send(l.local, msg);
   }
 
   const Config* cfg_ = nullptr;
   hg::VertexId id_ = 0;
   double weight_ = 0;
-  std::uint32_t degree_ = 0;
   std::uint32_t level_ = 0;
-  double sum_delta_ = 0;          // Σ_{e in E(v)} δ(e), covered edges included
-  std::vector<double> bid_;       // local replica of bid(e), by local index
-  std::vector<double> alpha_;     // alpha(e), by local index
-  std::vector<std::uint8_t> active_;  // e in E'(v)?
-  std::uint32_t active_count_ = 0;
+  double sum_delta_ = 0;        // Σ_{e in E(v)} δ(e), covered edges included
+  std::span<VertexLink> links_;  // E'(v), ascending local order
   double alpha_max_ = 2.0;
   std::uint32_t pending_incr_ = 0;  // own halvings already applied locally
   std::uint64_t stuck_count_ = 0;

@@ -20,6 +20,7 @@ struct Fixture {
   hg::Hypergraph graph;
   Config cfg;
   Trace trace;
+  std::vector<VertexLink> links;  // the vertex agents' links, vertex CSR
   std::unique_ptr<Engine> eng;
 
   explicit Fixture(hg::Hypergraph g, double eps = 0.5)
@@ -33,8 +34,12 @@ struct Fixture {
     cfg.alpha_fixed = 2.0;
     cfg.trace = &trace;
     eng = std::make_unique<Engine>(graph);
+    links.resize(graph.num_incidences());
+    std::size_t base = 0;
     for (hg::VertexId v = 0; v < graph.num_vertices(); ++v) {
-      eng->vertex_agents()[v].configure(&cfg, v);
+      const std::span<VertexLink> own(links.data() + base, graph.degree(v));
+      eng->vertex_agents()[v].configure(&cfg, v, own);
+      base += own.size();
     }
     for (hg::EdgeId e = 0; e < graph.num_edges(); ++e) {
       eng->edge_agents()[e].configure(&cfg, e);
@@ -151,6 +156,84 @@ TEST(Schedule, BidReplicasMatchEdgesAtIterationEnd) {
           << "v=" << v << " r=" << round;
     }
   }
+}
+
+// A heavy hub in 12 rank-3 edges over a 40-vertex background whose
+// weights are powers of two scrambled against vertex ids: the hub stays
+// live while its edges get covered out of local order.
+hg::Hypergraph hub_graph() {
+  hg::Builder b;
+  b.add_vertex(100000);  // the hub
+  for (hg::VertexId i = 0; i < 40; ++i) {
+    b.add_vertex(hg::Weight{1} << (i * 7) % 13);
+  }
+  for (hg::VertexId i = 0; i < 60; ++i) {
+    b.add_edge({1 + (i * 7) % 40, 1 + (i * 13 + 5) % 40});
+  }
+  for (hg::VertexId i = 0; i < 12; ++i) {
+    b.add_edge({0, 1 + (i * 3) % 40, 1 + (i * 3 + 17) % 40});
+  }
+  return b.build();
+}
+
+TEST(Schedule, ActiveLinksMatchUncoveredEdgesInLockStep) {
+  // Every live vertex's E'(v) is its uncovered incident edges in
+  // edges_of(v) order whenever the vertex has heard of every cover (all
+  // rounds but phase B, when only the edges know). After phase C, when
+  // the replicas are in sync, each link's bid and the Claim 1 bid sum,
+  // added in edges_of(v) order, match the edges bit for bit. The hub must
+  // also lose links from the middle of its prefix.
+  Fixture fx(hub_graph());
+  // Theorem 9 alphas are not powers of two, so the bids are not dyadic
+  // and a bid sum taken in another order can differ in its low bits.
+  fx.cfg.alpha_mode = AlphaMode::kLocalPerEdge;
+  const hg::VertexId hub = 0;
+  bool middle_removal = false;
+  std::vector<bool> hub_covered(fx.graph.degree(hub), false);
+  for (std::uint32_t round = 0; !fx.eng->all_halted(); ++round) {
+    ASSERT_LT(round, 400u);
+    fx.eng->step_round();
+    const bool phase_b = round >= 2 && (round - 2) % 4 == 1;
+    const bool phase_c = round >= 2 && (round - 2) % 4 == 2;
+    if (phase_b) continue;
+    for (hg::VertexId v = 0; v < fx.graph.num_vertices(); ++v) {
+      const auto& va = fx.eng->vertex_agent(v);
+      if (va.halted()) continue;
+      const auto edges = fx.graph.edges_of(v);
+      const auto links = va.active_links();
+      std::size_t i = 0;
+      double bid_sum = 0;
+      for (std::uint32_t k = 0; k < edges.size(); ++k) {
+        const auto& ea = fx.eng->edge_agent(edges[k]);
+        if (ea.covered()) continue;
+        ASSERT_LT(i, links.size()) << "v=" << v << " r=" << round;
+        ASSERT_EQ(links[i].local, k) << "v=" << v << " r=" << round;
+        if (phase_c) {
+          ASSERT_EQ(links[i].bid, ea.bid()) << "v=" << v << " r=" << round;
+        }
+        bid_sum += ea.bid();
+        ++i;
+      }
+      ASSERT_EQ(va.active_edges(), i) << "v=" << v << " r=" << round;
+      if (phase_c) {
+        ASSERT_EQ(va.active_bid_sum(), bid_sum) << "v=" << v << " r=" << round;
+      }
+    }
+    if (!phase_c || fx.eng->vertex_agent(hub).halted()) continue;
+    // A link dropped this round below a link that stays is a removal from
+    // the middle of the prefix.
+    const auto edges = fx.graph.edges_of(hub);
+    bool kept_above = false;
+    for (std::uint32_t k = edges.size(); k-- > 0;) {
+      if (!fx.eng->edge_agent(edges[k]).covered()) {
+        kept_above = true;
+      } else if (!hub_covered[k]) {
+        hub_covered[k] = true;
+        middle_removal = middle_removal || kept_above;
+      }
+    }
+  }
+  EXPECT_TRUE(middle_removal);
 }
 
 TEST(Schedule, MessageBitsMatchAppendixB) {
