@@ -113,6 +113,10 @@ int main(int argc, char** argv) {
              "hypergraph 2 1\n1 1\n2 0 1 # no newline after this");
   write_file(outdir / "text_reader" / "overflow.txt",
              "hypergraph 2 1\n1 9223372036854775808\n2 0 1\n");
+  // Header counts no text of this length can hold: rejected as missing
+  // weights, with nothing reserved for the claim.
+  write_file(outdir / "text_reader" / "huge_header.txt",
+             "hypergraph 4000000000 4000000000\n1 1\n2 0 1\n");
 
   // --- binary_validate -----------------------------------------------------
   write_file(outdir / "binary_validate" / "small.hgb", hg::write_binary(g));

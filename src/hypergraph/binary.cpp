@@ -5,13 +5,16 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <utility>
 
+#include "hypergraph/hgb_image.hpp"
 #include "util/digest.hpp"
 
 // The format stores raw little-endian arrays and adoption reads them in
@@ -58,6 +61,13 @@ struct HypergraphStorageAccess {
     g.max_local_degree_ = a.max_local_degree;
     g.storage_ = std::move(storage);
     return g;
+  }
+
+  /// Every array and derived scalar of `g`, as it stores them.
+  static Arrays view(const Hypergraph& g) {
+    return {g.weights_,        g.vertex_offsets_, g.vertex_edges_,
+            g.edge_offsets_,   g.edge_vertices_,  g.local_max_degree_,
+            g.rank_,           g.max_degree_,     g.max_local_degree_};
   }
 
   static Hypergraph own(const Arrays& a) {
@@ -152,6 +162,76 @@ std::span<const T> section(const std::uint8_t* base, std::size_t off,
   return {reinterpret_cast<const T*>(base + off), count};
 }
 
+template <typename T>
+std::span<T> writable_section(std::uint8_t* base, std::size_t off,
+                              std::size_t count) noexcept {
+  return {reinterpret_cast<T*>(base + off), count};
+}
+
+/// The header fields HgbInfo carries, read without any check.
+HgbInfo load_header(const std::uint8_t* base) noexcept {
+  HgbInfo info;
+  info.version = load_u32(base + kOffVersion);
+  info.n = load_u32(base + kOffN);
+  info.m = load_u32(base + kOffM);
+  info.incidences = load_u64(base + kOffIncidences);
+  info.graph_digest = load_u64(base + kOffDigest);
+  info.file_bytes = load_u64(base + kOffFileBytes);
+  return info;
+}
+
+/// Spans over every section of an 8-aligned image with header `info`,
+/// and the derived scalars as the header states them. The caller has
+/// proven the layout fits the buffer.
+Arrays sections(const std::uint8_t* base, const HgbInfo& info) noexcept {
+  const Layout l = layout_for(info.n, info.m, info.incidences);
+  Arrays a;
+  a.weights = section<Weight>(base, l.weights, info.n);
+  a.vertex_offsets = section<Offset>(base, l.vertex_offsets, info.n + 1);
+  a.edge_offsets = section<Offset>(base, l.edge_offsets, info.m + 1);
+  a.vertex_edges = section<EdgeId>(base, l.vertex_edges, info.incidences);
+  a.edge_vertices = section<VertexId>(base, l.edge_vertices, info.incidences);
+  a.local_max_degree =
+      section<std::uint32_t>(base, l.local_max_degree, info.m);
+  a.rank = load_u32(base + kOffRank);
+  a.max_degree = load_u32(base + kOffMaxDegree);
+  a.max_local_degree = load_u32(base + kOffMaxLocalDegree);
+  return a;
+}
+
+/// Grows `out` by `bytes` zero bytes (so padding is zero) and returns
+/// where they start.
+std::uint8_t* grow_zeroed(std::vector<std::uint8_t>& out, std::size_t bytes) {
+  const std::size_t start = out.size();
+  out.resize(start + bytes, 0);
+  return out.data() + start;
+}
+
+/// Copies `span` to `dst` (unaligned is fine).
+template <typename T>
+void put_section(std::uint8_t* dst, std::span<const T> span) noexcept {
+  if (!span.empty()) std::memcpy(dst, span.data(), span.size_bytes());
+}
+
+/// Writes the 64-byte header of an image whose sections are in place.
+void store_header(std::uint8_t* base, std::uint64_t n, std::uint64_t m,
+                  std::uint64_t incidences, std::uint64_t digest,
+                  std::uint32_t rank, std::uint32_t max_degree,
+                  std::uint32_t max_local_degree) noexcept {
+  store_u64(base + kOffMagic, kHgbMagic);
+  store_u32(base + kOffVersion, kHgbVersion);
+  store_u32(base + kOffFlags, 0);
+  store_u32(base + kOffN, static_cast<std::uint32_t>(n));
+  store_u32(base + kOffM, static_cast<std::uint32_t>(m));
+  store_u64(base + kOffIncidences, incidences);
+  store_u64(base + kOffDigest, digest);
+  store_u32(base + kOffRank, rank);
+  store_u32(base + kOffMaxDegree, max_degree);
+  store_u32(base + kOffMaxLocalDegree, max_local_degree);
+  store_u32(base + kOffHeaderBytes, kHgbHeaderBytes);
+  store_u64(base + kOffFileBytes, layout_for(n, m, incidences).total);
+}
+
 /// The full validation sweep over an 8-aligned buffer. Returns the header
 /// plus spans into `bytes` for every section — the caller decides whether
 /// to adopt them in place or copy them out.
@@ -162,8 +242,7 @@ std::pair<HgbInfo, Arrays> parse_and_validate(
   if (load_u64(base + kOffMagic) != kHgbMagic) {
     fail("bad magic (not an hgb file, or mangled in transfer)");
   }
-  HgbInfo info;
-  info.version = load_u32(base + kOffVersion);
+  const HgbInfo info = load_header(base);
   if (info.version != kHgbVersion) {
     fail("unsupported version " + std::to_string(info.version));
   }
@@ -173,11 +252,6 @@ std::pair<HgbInfo, Arrays> parse_and_validate(
   if (load_u32(base + kOffHeaderBytes) != kHgbHeaderBytes) {
     fail("bad header size field");
   }
-  info.n = load_u32(base + kOffN);
-  info.m = load_u32(base + kOffM);
-  info.incidences = load_u64(base + kOffIncidences);
-  info.graph_digest = load_u64(base + kOffDigest);
-  info.file_bytes = load_u64(base + kOffFileBytes);
   if (info.file_bytes != bytes.size()) {
     fail("file size field " + std::to_string(info.file_bytes) +
          " != buffer size " + std::to_string(bytes.size()));
@@ -196,15 +270,7 @@ std::pair<HgbInfo, Arrays> parse_and_validate(
          " bytes, buffer has " + std::to_string(bytes.size()));
   }
 
-  Arrays a;
-  a.weights = section<Weight>(base, l.weights, info.n);
-  a.vertex_offsets = section<Offset>(base, l.vertex_offsets, info.n + 1);
-  a.edge_offsets = section<Offset>(base, l.edge_offsets, info.m + 1);
-  a.vertex_edges = section<EdgeId>(base, l.vertex_edges, info.incidences);
-  a.edge_vertices = section<VertexId>(base, l.edge_vertices, info.incidences);
-  a.local_max_degree =
-      section<std::uint32_t>(base, l.local_max_degree, info.m);
-
+  const Arrays a = sections(base, info);
   for (std::uint32_t v = 0; v < info.n; ++v) {
     if (a.weights[v] <= 0) {
       fail("vertex " + std::to_string(v) + " has non-positive weight");
@@ -237,7 +303,6 @@ std::pair<HgbInfo, Arrays> parse_and_validate(
     }
     rank = std::max(rank, static_cast<std::uint32_t>(hi - lo));
   }
-  a.rank = load_u32(base + kOffRank);
   if (a.rank != rank) fail("header rank does not match edges");
 
   // Vertex-side CSR offsets must be the prefix sums of the histogram.
@@ -253,7 +318,6 @@ std::pair<HgbInfo, Arrays> parse_and_validate(
   if (a.vertex_offsets[info.n] != info.incidences) {
     fail("vertex offsets do not end at the incidence count");
   }
-  a.max_degree = load_u32(base + kOffMaxDegree);
   if (a.max_degree != max_degree) fail("header max degree does not match");
 
   // vertex_edges must be exactly the transpose Builder::build() emits:
@@ -283,7 +347,6 @@ std::pair<HgbInfo, Arrays> parse_and_validate(
     }
     max_local = std::max(max_local, best);
   }
-  a.max_local_degree = load_u32(base + kOffMaxLocalDegree);
   if (a.max_local_degree != max_local) {
     fail("header max local degree does not match");
   }
@@ -328,58 +391,22 @@ std::vector<std::uint8_t> write_binary(const Hypergraph& g) {
 }
 
 void append_binary(std::vector<std::uint8_t>& out, const Hypergraph& g) {
+  const Arrays a = detail::HypergraphStorageAccess::view(g);
   const std::uint64_t n = g.num_vertices();
   const std::uint64_t m = g.num_edges();
   const std::uint64_t inc = g.num_incidences();
   const Layout l = layout_for(n, m, inc);
-  const std::size_t start = out.size();
-  out.resize(start + l.total, 0);
-  std::uint8_t* base = out.data() + start;
-
-  store_u64(base + kOffMagic, kHgbMagic);
-  store_u32(base + kOffVersion, kHgbVersion);
-  store_u32(base + kOffFlags, 0);
-  store_u32(base + kOffN, static_cast<std::uint32_t>(n));
-  store_u32(base + kOffM, static_cast<std::uint32_t>(m));
-  store_u64(base + kOffIncidences, inc);
-  store_u64(base + kOffDigest, util::graph_digest(g));
-  store_u32(base + kOffRank, g.rank());
-  store_u32(base + kOffMaxDegree, g.max_degree());
-  store_u32(base + kOffMaxLocalDegree, g.max_local_degree());
-  store_u32(base + kOffHeaderBytes, kHgbHeaderBytes);
-  store_u64(base + kOffFileBytes, l.total);
-
-  const auto put = [&](std::size_t off, const void* src, std::size_t bytes) {
-    if (bytes > 0) std::memcpy(base + off, src, bytes);
-  };
-  put(l.weights, g.weights().data(), n * 8);
-  // Spans over the graph's CSR arrays; sizes are the same counts the
-  // layout was computed from.
-  std::vector<Offset> vo(n + 1);
-  std::vector<Offset> eo(m + 1);
-  vo[0] = 0;
-  for (std::uint64_t v = 0; v < n; ++v) {
-    vo[v + 1] = vo[v] + g.degree(static_cast<VertexId>(v));
-  }
-  eo[0] = 0;
-  for (std::uint64_t e = 0; e < m; ++e) {
-    eo[e + 1] = eo[e] + g.edge_size(static_cast<EdgeId>(e));
-  }
-  put(l.vertex_offsets, vo.data(), (n + 1) * 8);
-  put(l.edge_offsets, eo.data(), (m + 1) * 8);
-  for (std::uint64_t v = 0; v < n; ++v) {
-    const auto edges = g.edges_of(static_cast<VertexId>(v));
-    put(l.vertex_edges + vo[v] * 4, edges.data(), edges.size() * 4);
-  }
-  for (std::uint64_t e = 0; e < m; ++e) {
-    const auto members = g.vertices_of(static_cast<EdgeId>(e));
-    put(l.edge_vertices + eo[e] * 4, members.data(), members.size() * 4);
-  }
-  std::vector<std::uint32_t> lmd(m);
-  for (std::uint64_t e = 0; e < m; ++e) {
-    lmd[e] = g.local_max_degree(static_cast<EdgeId>(e));
-  }
-  put(l.local_max_degree, lmd.data(), m * 4);
+  std::uint8_t* const base = grow_zeroed(out, l.total);
+  // The graph's arrays are the sections. A default-constructed graph has
+  // no offset arrays at all; the zero fill supplies their single 0.
+  put_section(base + l.weights, a.weights);
+  put_section(base + l.vertex_offsets, a.vertex_offsets);
+  put_section(base + l.edge_offsets, a.edge_offsets);
+  put_section(base + l.vertex_edges, a.vertex_edges);
+  put_section(base + l.edge_vertices, a.edge_vertices);
+  put_section(base + l.local_max_degree, a.local_max_degree);
+  store_header(base, n, m, inc, util::graph_digest(g), a.rank, a.max_degree,
+               a.max_local_degree);
 }
 
 void write_binary_file(const std::string& path, const Hypergraph& g) {
@@ -414,16 +441,16 @@ Hypergraph read_binary(std::span<const std::uint8_t> bytes) {
 }
 
 Hypergraph adopt_binary(std::span<const std::uint8_t> bytes,
-                        std::shared_ptr<const void> keepalive) {
+                        std::shared_ptr<const void> keepalive, HgbInfo* info) {
   if (!aligned8(bytes.data())) {
     fail("adopt requires an 8-byte aligned buffer (use read_binary to copy)");
   }
-  auto [info, arrays] = parse_and_validate(bytes);
-  (void)info;
+  const auto [header, arrays] = parse_and_validate(bytes);
+  if (info != nullptr) *info = header;
   return detail::HypergraphStorageAccess::adopt(arrays, std::move(keepalive));
 }
 
-Hypergraph map_file(const std::string& path) {
+Hypergraph map_file(const std::string& path, HgbInfo* info) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     fail("cannot open '" + path + "': " + std::strerror(errno));
@@ -448,10 +475,55 @@ Hypergraph map_file(const std::string& path) {
       mem, [size](const void* p) { ::munmap(const_cast<void*>(p), size); });
   try {
     return adopt_binary({static_cast<const std::uint8_t*>(mem), size},
-                        std::move(keepalive));
+                        std::move(keepalive), info);
   } catch (const BinaryFormatError& e) {
     throw BinaryFormatError(std::string(e.what()) + " (file '" + path + "')");
   }
 }
+
+namespace detail {
+
+HgbInfo append_image(std::vector<std::uint8_t>& out, const EdgeSide& s) {
+  const std::uint64_t n = s.weights.size();
+  const std::uint64_t m = s.edge_offsets.size() - 1;
+  const std::uint64_t inc = s.edge_vertices.size();
+  const Layout l = layout_for(n, m, inc);
+  // The sections are written as typed arrays, so the image is laid out at
+  // the first 8-aligned offset past the end of `out` (operator new aligns
+  // the buffer itself) and moved down afterwards if that skipped bytes.
+  const std::size_t start = out.size();
+  const std::size_t pad = (8 - start % 8) % 8;
+  (void)grow_zeroed(out, pad + l.total);
+  std::uint8_t* const base = out.data() + start + pad;
+  assert(aligned8(base));
+  put_section(base + l.weights, s.weights);
+  put_section(base + l.edge_offsets, s.edge_offsets);
+  put_section(base + l.edge_vertices, s.edge_vertices);
+  const VertexSideMaxima maxima = derive_vertex_side(
+      s.degree, s.edge_offsets, s.edge_vertices,
+      writable_section<Offset>(base, l.vertex_offsets, n + 1),
+      writable_section<EdgeId>(base, l.vertex_edges, inc),
+      writable_section<std::uint32_t>(base, l.local_max_degree, m));
+  store_header(base, n, m, inc, s.graph_digest, s.rank, maxima.max_degree,
+               maxima.max_local_degree);
+  const HgbInfo info = load_header(base);
+  if (pad != 0) {
+    std::memmove(out.data() + start, base, l.total);
+    out.resize(start + l.total);
+  }
+  return info;
+}
+
+Hypergraph adopt_image(std::shared_ptr<const std::vector<std::uint8_t>> image) {
+  const std::uint8_t* const base = image->data();
+  assert(aligned8(base));
+#ifndef NDEBUG
+  (void)validate_binary(*image);
+#endif
+  return HypergraphStorageAccess::adopt(sections(base, load_header(base)),
+                                        std::move(image));
+}
+
+}  // namespace detail
 
 }  // namespace hypercover::hg

@@ -1,7 +1,9 @@
 #pragma once
 // `hgb` — the versioned little-endian binary hypergraph format, the
-// zero-copy ingestion path behind the serving stack (text I/O stays as
-// the debug path).
+// zero-copy ingestion path behind the serving stack. Text is scanned
+// straight into this layout (hypergraph/io.hpp: append_text_binary); it
+// shares the layout and header code with write_binary, so both give the
+// same bytes for the same graph.
 //
 // The file IS the in-memory layout: a fixed 64-byte header followed by
 // every array a Hypergraph reads through, each section starting on an
@@ -42,7 +44,9 @@
 // with each other, derived scalars correct, padding zero, and the header
 // digest equal to util::graph_digest of the content — so an adopted
 // graph is indistinguishable from a built one, and any single corrupted
-// byte fails validation. All errors are BinaryFormatError.
+// byte fails validation. All errors are BinaryFormatError. Validation
+// hashes the content once; adopt_binary and map_file hand back the
+// HgbInfo it proved, so a caller needs no second util::graph_digest.
 
 #include <cstdint>
 #include <memory>
@@ -77,8 +81,8 @@ struct HgbInfo {
   std::uint64_t file_bytes = 0;
 };
 
-/// Serializes g into the hgb byte layout (always validates back-to-front
-/// by construction: the arrays come from a live Hypergraph).
+/// Serializes g into the hgb byte layout (valid by construction: the
+/// arrays come from a live Hypergraph).
 [[nodiscard]] std::vector<std::uint8_t> write_binary(const Hypergraph& g);
 
 /// Appends the write_binary(g) bytes to `out`, so a caller that frames
@@ -108,13 +112,17 @@ HgbInfo validate_binary(std::span<const std::uint8_t> bytes);
 /// until the last copy dies. `bytes.data()` must be 8-byte aligned
 /// (mmap regions and whole heap allocations are; a span at an odd offset
 /// into a larger buffer is rejected).
+/// When `info` is non-null it receives the validated header, whose
+/// graph_digest equals util::graph_digest of the returned graph.
 [[nodiscard]] Hypergraph adopt_binary(std::span<const std::uint8_t> bytes,
-                                      std::shared_ptr<const void> keepalive);
+                                      std::shared_ptr<const void> keepalive,
+                                      HgbInfo* info = nullptr);
 
 /// mmap's the file read-only, validates, and adopts the mapping — the
 /// zero-copy ingestion path. The mapping is unmapped when the last graph
 /// copy referencing it is destroyed. Throws BinaryFormatError on open/
-/// map failure or any validation failure.
-[[nodiscard]] Hypergraph map_file(const std::string& path);
+/// map failure or any validation failure. `info` as for adopt_binary.
+[[nodiscard]] Hypergraph map_file(const std::string& path,
+                                  HgbInfo* info = nullptr);
 
 }  // namespace hypercover::hg

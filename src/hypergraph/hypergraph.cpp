@@ -5,6 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "hypergraph/hgb_image.hpp"
+
 namespace hypercover::hg {
 
 void Hypergraph::rebind() noexcept {
@@ -186,39 +188,51 @@ Hypergraph Builder::build() {
   edge_vertices_.clear();
   edge_offsets_.clear();
 
-  // Vertex-side CSR from the degree histogram.
-  g.own_vertex_offsets_.assign(n + 1, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    g.own_vertex_offsets_[v + 1] = g.own_vertex_offsets_[v] + degree[v];
-    g.max_degree_ = std::max(g.max_degree_, degree[v]);
-  }
-
-  // Local max-degree table: Delta(e) = max_{v in e} degree(v), one pass
-  // over the incidences so local_max_degree(e) is O(1) forever after.
-  g.own_local_max_degree_.assign(m, 0);
-  for (std::size_t e = 0; e + 1 < g.own_edge_offsets_.size(); ++e) {
-    std::uint32_t best = 0;
-    for (std::size_t k = g.own_edge_offsets_[e];
-         k < g.own_edge_offsets_[e + 1]; ++k) {
-      best = std::max(best, degree[g.own_edge_vertices_[k]]);
-    }
-    g.own_local_max_degree_[e] = best;
-    g.max_local_degree_ = std::max(g.max_local_degree_, best);
-  }
+  g.own_vertex_offsets_.resize(std::size_t{n} + 1);
   g.own_vertex_edges_.resize(g.own_edge_vertices_.size());
-  std::vector<Offset> cursor(g.own_vertex_offsets_.begin(),
-                             g.own_vertex_offsets_.end() - 1);
-  for (std::size_t e = 0; e + 1 < g.own_edge_offsets_.size(); ++e) {
-    for (std::size_t k = g.own_edge_offsets_[e];
-         k < g.own_edge_offsets_[e + 1]; ++k) {
-      const VertexId v = g.own_edge_vertices_[k];
-      g.own_vertex_edges_[cursor[v]++] = static_cast<EdgeId>(e);
-    }
-  }
-  // Edge ids per vertex are emitted in increasing e, hence already sorted.
+  g.own_local_max_degree_.resize(m);
+  const detail::VertexSideMaxima maxima = detail::derive_vertex_side(
+      degree, g.own_edge_offsets_, g.own_edge_vertices_,
+      g.own_vertex_offsets_, g.own_vertex_edges_, g.own_local_max_degree_);
+  g.max_degree_ = maxima.max_degree;
+  g.max_local_degree_ = maxima.max_local_degree;
 
   g.rebind();
   return g;
 }
+
+namespace detail {
+
+VertexSideMaxima derive_vertex_side(std::span<const std::uint32_t> degree,
+                                    std::span<const Offset> edge_offsets,
+                                    std::span<const VertexId> edge_vertices,
+                                    std::span<Offset> vertex_offsets,
+                                    std::span<EdgeId> vertex_edges,
+                                    std::span<std::uint32_t> local_max_degree) {
+  VertexSideMaxima out;
+  std::vector<Offset> cursor(degree.size());
+  vertex_offsets[0] = 0;
+  for (std::size_t v = 0; v < degree.size(); ++v) {
+    cursor[v] = vertex_offsets[v];
+    vertex_offsets[v + 1] = vertex_offsets[v] + degree[v];
+    out.max_degree = std::max(out.max_degree, degree[v]);
+  }
+  // One pass over the incidences fills each vertex's edge list and
+  // Delta(e) = max_{v in e} degree(v), so local_max_degree(e) is O(1)
+  // forever after.
+  for (std::size_t e = 0; e + 1 < edge_offsets.size(); ++e) {
+    std::uint32_t best = 0;
+    for (Offset k = edge_offsets[e]; k < edge_offsets[e + 1]; ++k) {
+      const VertexId v = edge_vertices[k];
+      vertex_edges[cursor[v]++] = static_cast<EdgeId>(e);
+      best = std::max(best, degree[v]);
+    }
+    local_max_degree[e] = best;
+    out.max_local_degree = std::max(out.max_local_degree, best);
+  }
+  return out;
+}
+
+}  // namespace detail
 
 }  // namespace hypercover::hg

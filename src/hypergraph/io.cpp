@@ -7,12 +7,17 @@
 #include <charconv>
 #include <cstring>
 #include <istream>
+#include <memory>
 #include <ostream>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "hypergraph/hgb_image.hpp"
+#include "util/digest.hpp"
 
 namespace hypercover::hg {
 
@@ -64,6 +69,11 @@ class Scanner {
     return v;
   }
 
+  /// Bytes not yet scanned.
+  [[nodiscard]] std::size_t remaining() const noexcept {
+    return static_cast<std::size_t>(end_ - p_);
+  }
+
  private:
   const char* p_;
   const char* end_;
@@ -97,14 +107,20 @@ std::size_t decimal_len(std::uint32_t v) {
   return decimal_len(std::uint64_t{v});
 }
 
-}  // namespace
+/// What one scan of a text leaves: the edge side of the graph, each edge
+/// sorted, with its degree histogram, rank and digest.
+struct TextScan {
+  std::vector<Weight> weights;
+  std::vector<Offset> edge_offsets{0};
+  std::vector<VertexId> edge_vertices;
+  std::vector<std::uint32_t> degree;
+  std::uint32_t rank = 0;
+  std::uint64_t digest = 0;
+};
 
-void write_text(std::ostream& os, const Hypergraph& g) {
-  const std::string text = to_text(g);
-  os.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-Hypergraph from_text(std::string_view text) {
+/// The reader's one pass over `text`: every check of the format, in input
+/// order, with its error message.
+TextScan scan_text(std::string_view text) {
   Scanner in(text);
   if (in.next() != "hypergraph") {
     throw std::runtime_error("hypergraph read: missing 'hypergraph' header");
@@ -113,38 +129,50 @@ Hypergraph from_text(std::string_view text) {
   const auto m = in.next_int("edge count");
   if (n < 0 || m < 0) throw std::runtime_error("hypergraph read: negative size");
 
-  Builder b;
+  // Every weight, edge and member takes at least two bytes of text (one
+  // digit and a separator) but the very last, so no reservation below
+  // exceeds what the text can hold, whatever the header claims.
+  const auto text_bound = [&](std::int64_t count) {
+    return static_cast<std::size_t>(std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(count), in.remaining() / 2 + 1));
+  };
+  TextScan s;
+  util::GraphDigest digest(static_cast<std::uint64_t>(n),
+                           static_cast<std::uint64_t>(m));
+  s.weights.reserve(text_bound(n));
   for (std::int64_t v = 0; v < n; ++v) {
     const std::int64_t w = in.next_int("weight");
-    // Validate here rather than letting Builder::build() reject it, for
-    // the same reason as the duplicate check below: malformed *input* is
-    // std::runtime_error; std::invalid_argument is the programmatic-API
-    // error. (Found by the text-reader fuzz harness, which treats any
-    // non-runtime_error escape as a contract violation.)
+    // Malformed *input* is std::runtime_error; std::invalid_argument is
+    // Builder's programmatic-API error. (Found by the text-reader fuzz
+    // harness, which treats any non-runtime_error escape as a contract
+    // violation.)
     if (w <= 0) {
       throw std::runtime_error("hypergraph read: weight " + std::to_string(w) +
                                " of vertex " + std::to_string(v) +
                                " is not positive");
     }
-    b.add_vertex(w);
+    s.weights.push_back(w);
+    digest.weight(w);
   }
-  std::vector<VertexId> members;
+  // All n weights were read, so n is bounded by the text now.
+  s.degree.assign(static_cast<std::size_t>(n), 0);
+  s.edge_offsets.reserve(text_bound(m) + 1);
+  s.edge_vertices.reserve(in.remaining() / 2 + 1);
   for (std::int64_t e = 0; e < m; ++e) {
     const auto k = in.next_int("edge size");
     if (k <= 0) throw std::runtime_error("hypergraph read: edge size <= 0");
-    members.clear();
+    const std::size_t first = s.edge_vertices.size();
     for (std::int64_t i = 0; i < k; ++i) {
       const auto v = in.next_int("edge member");
       if (v < 0 || v >= n) {
         throw std::runtime_error("hypergraph read: member out of range");
       }
-      members.push_back(static_cast<VertexId>(v));
+      s.edge_vertices.push_back(static_cast<VertexId>(v));
     }
-    // Reject duplicate members here (not only in Builder) so both the
-    // text and binary readers enforce the same contract with the same
-    // error family: malformed *input* is std::runtime_error, while
-    // std::invalid_argument stays the programmatic-API error. Members go
-    // to the Builder sorted, which its own sort then finds in order.
+    const std::span<VertexId> members(s.edge_vertices.data() + first,
+                                      static_cast<std::size_t>(k));
+    // A duplicate member is malformed input, rejected here with the
+    // contract the binary validator enforces.
     std::sort(members.begin(), members.end());
     const auto dup = std::adjacent_find(members.begin(), members.end());
     if (dup != members.end()) {
@@ -152,7 +180,10 @@ Hypergraph from_text(std::string_view text) {
                                " has duplicate vertex " +
                                std::to_string(*dup));
     }
-    b.add_edge(std::span<const VertexId>(members));
+    for (const VertexId v : members) ++s.degree[v];
+    s.rank = std::max(s.rank, static_cast<std::uint32_t>(k));
+    digest.edge(members);
+    s.edge_offsets.push_back(s.edge_vertices.size());
   }
   // A complete graph must be followed by end-of-input (comments aside):
   // trailing tokens mean a malformed or truncated-header instance, and
@@ -162,7 +193,30 @@ Hypergraph from_text(std::string_view text) {
     throw std::runtime_error("hypergraph read: trailing token '" +
                              std::string(trailing) + "' after the last edge");
   }
-  return b.build();
+  s.digest = digest.value();
+  return s;
+}
+
+}  // namespace
+
+void write_text(std::ostream& os, const Hypergraph& g) {
+  const std::string text = to_text(g);
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+}
+
+HgbInfo append_text_binary(std::vector<std::uint8_t>& out,
+                           std::string_view text) {
+  const TextScan s = scan_text(text);
+  return detail::append_image(out, {s.weights, s.edge_offsets,
+                                    s.edge_vertices, s.degree, s.rank,
+                                    s.digest});
+}
+
+Hypergraph from_text(std::string_view text, HgbInfo* info) {
+  auto image = std::make_shared<std::vector<std::uint8_t>>();
+  const HgbInfo header = append_text_binary(*image, text);
+  if (info != nullptr) *info = header;
+  return detail::adopt_image(std::move(image));
 }
 
 Hypergraph read_text(std::istream& is) {

@@ -18,6 +18,14 @@
 // such an integer fails with "hypergraph read: bad integer '<token>' for
 // <field>".
 //
+// The reader is one scan: it tokenizes, checks every token in input
+// order (the first failing check names the error), sorts each edge in
+// place and folds util::graph_digest as it goes. append_text_binary lays
+// the result out as an hgb image (hypergraph/binary.hpp); from_text
+// adopts that image. No Builder is involved and, outside Debug builds
+// (which re-validate each adopted image), nothing is checked or hashed
+// twice.
+//
 // The writer emits one canonical rendering: decimal integers separated
 // by single spaces, the header on its own line, all n weights on one line
 // (omitted when n = 0), one line per edge with its members in stored
@@ -25,10 +33,13 @@
 // no padding. Reading that text back and writing it again reproduces it
 // byte for byte.
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "hypergraph/binary.hpp"
 #include "hypergraph/hypergraph.hpp"
 
 namespace hypercover::hg {
@@ -36,12 +47,22 @@ namespace hypercover::hg {
 /// Writes to_text(g) to `os` with a single write.
 void write_text(std::ostream& os, const Hypergraph& g);
 
-/// Parses the format above; throws std::runtime_error on malformed input.
-/// Strict: negative sizes, non-positive weights, members out of range,
-/// duplicate vertices within an edge and any token after the last edge
-/// are rejected (same contract as the binary validator in
-/// hypergraph/binary.hpp — this is the debug path, not the lenient one).
-[[nodiscard]] Hypergraph from_text(std::string_view text);
+/// Scans the format above and appends the graph's hgb image to `out`,
+/// byte for byte write_binary(from_text(text)), returning its header (the
+/// digest folded during the scan). Throws std::runtime_error on malformed
+/// input, leaving `out` as it was. Strict: negative sizes, non-positive
+/// weights, members out of range, duplicate vertices within an edge and
+/// any token after the last edge are rejected (same contract as the
+/// binary validator in hypergraph/binary.hpp). Memory is reserved from
+/// the text's length, never from the counts a header claims.
+HgbInfo append_text_binary(std::vector<std::uint8_t>& out,
+                           std::string_view text);
+
+/// Parses the format above into a graph that adopts its hgb image; same
+/// errors as append_text_binary. When `info` is non-null it receives the
+/// image header, whose graph_digest is util::graph_digest of the result.
+[[nodiscard]] Hypergraph from_text(std::string_view text,
+                                   HgbInfo* info = nullptr);
 
 /// Reads everything left in `is` into one string by streaming its
 /// rdbuf() into a std::ostringstream, sets eofbit, and returns

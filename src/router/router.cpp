@@ -245,15 +245,17 @@ struct Router::Impl {
   // --- graph submission -----------------------------------------------------
 
   /// Derives digest/shape from a submit payload and keeps what backends
-  /// will be staged with. Text is parsed here once and restaged as an
+  /// will be staged with. Text is scanned here once, straight into an
   /// inline SubmitGraphBinary, whose content digest the backend
-  /// validates before adopting it; binary payloads go out verbatim.
+  /// validates before adopting it; binary payloads are validated and go
+  /// out verbatim. Either way the graph is hashed once on this hop.
   /// Returns false to drop the connection.
   bool handle_submit(Socket& sock, FrameTag tag, Frame& frame,
                      ConnGraph& state) {
     PayloadReader r(frame.payload);
     const std::uint8_t kind = r.u8();
-    hg::Hypergraph parsed;
+    hg::HgbInfo info;
+    std::vector<std::uint8_t> staged;
     try {
       if (tag == FrameTag::kSubmitGraph) {
         std::string text;
@@ -284,14 +286,15 @@ struct Router::Impl {
           return true;
         }
         frame.payload = std::vector<std::uint8_t>();  // `text` has it now
-        parsed = hg::from_text(text);
+        // Kind byte and u32 length, then the image the scan lays out in
+        // place: one pass over the text and no graph built.
+        staged = {kGraphInline, 0, 0, 0, 0};
+        info = hg::append_text_binary(staged, text);
       } else {  // kSubmitGraphBinary
         if (kind == kGraphInline) {
-          auto blob =
-              std::make_shared<const std::vector<std::uint8_t>>(r.bytes());
+          const std::vector<std::uint8_t> blob = r.bytes();
           if (!consumed_all(sock, r, "SubmitGraphBinary")) return false;
-          const std::span<const std::uint8_t> view(*blob);
-          parsed = hg::adopt_binary(view, std::move(blob));
+          info = hg::validate_binary(blob);
         } else if (kind == kGraphByPath) {
           const std::string path = r.str();
           if (!consumed_all(sock, r, "SubmitGraphBinary")) return false;
@@ -305,23 +308,19 @@ struct Router::Impl {
             send_error(sock, "graph file exceeds the frame cap: " + path);
             return true;
           }
-          parsed = hg::map_file(path);
+          (void)hg::map_file(path, &info);
         } else {
           send_error(sock,
                      "unknown SubmitGraphBinary kind " + std::to_string(kind));
           return true;
         }
+        staged = std::move(frame.payload);
       }
     } catch (const std::exception& ex) {
       send_error(sock, std::string("bad graph: ") + ex.what());
       return true;
     }
-    std::vector<std::uint8_t> staged;
     if (tag == FrameTag::kSubmitGraph) {
-      // Kind byte and u32 length, then the image appended in place: one
-      // image-sized buffer, written after the text was released.
-      staged = {kGraphInline, 0, 0, 0, 0};
-      hg::append_binary(staged, parsed);
       // hgb spends 8 bytes per incidence, so a text that fit the frame
       // cap can outgrow it. Refuse here: a backend would drop the frame,
       // and the router would count a healthy backend as failed.
@@ -335,14 +334,12 @@ struct Router::Impl {
       for (std::size_t i = 0; i < 4; ++i) {
         staged[1 + i] = static_cast<std::uint8_t>(image >> (8 * i));
       }
-    } else {
-      staged = std::move(frame.payload);
     }
     state.have = true;
     state.payload = std::move(staged);
-    state.digest = util::graph_digest(parsed);
-    state.vertices = parsed.num_vertices();
-    state.edges = parsed.num_edges();
+    state.digest = info.graph_digest;
+    state.vertices = info.n;
+    state.edges = info.m;
     PayloadWriter w;
     w.u64(state.digest);
     w.u32(state.vertices);

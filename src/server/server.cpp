@@ -244,14 +244,15 @@ struct SolveServer::Impl {
       return true;
     }
     hg::Hypergraph parsed;
+    hg::HgbInfo info;
     try {
-      parsed = hg::from_text(text);
+      parsed = hg::from_text(text, &info);  // digest folded by the scan
     } catch (const std::exception& ex) {
       send_error(sock, std::string("bad graph: ") + ex.what());
       return true;
     }
     state.graph = std::make_shared<const hg::Hypergraph>(std::move(parsed));
-    state.digest = util::graph_digest(*state.graph);
+    state.digest = info.graph_digest;
     state.text_bytes = text.size();
     PayloadWriter w;
     w.u64(state.digest);
@@ -271,6 +272,7 @@ struct SolveServer::Impl {
                                   ConnGraph& state) {
     const std::uint8_t kind = r.u8();
     hg::Hypergraph adopted;
+    hg::HgbInfo info;
     std::uint64_t byte_size = 0;
     try {
       if (kind == kGraphInlineBinary) {
@@ -285,7 +287,7 @@ struct SolveServer::Impl {
           return true;
         }
         const std::span<const std::uint8_t> view(*blob);
-        adopted = hg::adopt_binary(view, std::move(blob));
+        adopted = hg::adopt_binary(view, std::move(blob), &info);
       } else if (kind == kGraphBinaryByPath) {
         const std::string path = r.str();
         if (!consumed_all(sock, r, "SubmitGraphBinary")) return false;
@@ -300,7 +302,7 @@ struct SolveServer::Impl {
           send_busy(sock);
           return true;
         }
-        adopted = hg::map_file(path);
+        adopted = hg::map_file(path, &info);
       } else {
         send_error(sock,
                    "unknown SubmitGraphBinary kind " + std::to_string(kind));
@@ -311,9 +313,9 @@ struct SolveServer::Impl {
       return true;
     }
     state.graph = std::make_shared<const hg::Hypergraph>(std::move(adopted));
-    // The header digest was already verified against the content by
-    // validation, so it IS util::graph_digest of the adopted graph.
-    state.digest = util::graph_digest(*state.graph);
+    // Validation proved the header digest against the content, so it IS
+    // util::graph_digest of the adopted graph; no second hash.
+    state.digest = info.graph_digest;
     state.text_bytes = byte_size;
     PayloadWriter w;
     w.u64(state.digest);

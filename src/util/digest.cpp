@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "util/math.hpp"
-
 namespace hypercover::util {
 
 namespace {
@@ -25,19 +23,14 @@ std::uint64_t mix_double(std::uint64_t h, double v) {
 
 }  // namespace
 
+GraphDigest::GraphDigest(std::uint64_t n, std::uint64_t m) noexcept
+    : h_(mix64(mix64(kGraphSeed, n), m)) {}
+
 std::uint64_t graph_digest(const hg::Hypergraph& g) {
-  std::uint64_t h = kGraphSeed;
-  h = mix64(h, g.num_vertices());
-  h = mix64(h, g.num_edges());
-  for (const hg::Weight w : g.weights()) {
-    h = mix64(h, static_cast<std::uint64_t>(w));
-  }
-  for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
-    const auto members = g.vertices_of(e);
-    h = mix64(h, members.size());
-    for (const hg::VertexId v : members) h = mix64(h, v);
-  }
-  return h;
+  GraphDigest d(g.num_vertices(), g.num_edges());
+  for (const hg::Weight w : g.weights()) d.weight(w);
+  for (hg::EdgeId e = 0; e < g.num_edges(); ++e) d.edge(g.vertices_of(e));
+  return d.value();
 }
 
 std::uint64_t solve_digest(std::uint64_t graph_digest,

@@ -20,12 +20,38 @@
 // the one util header that includes api/.
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 
 #include "api/registry.hpp"
 #include "hypergraph/hypergraph.hpp"
+#include "util/math.hpp"
 
 namespace hypercover::util {
+
+/// graph_digest's mix chain, fed one field at a time in its fixed order:
+/// n and m (the constructor), every vertex weight in id order, then every
+/// edge in id order as its size followed by its members ascending.
+/// graph_digest(g) feeds it from g; the text scanner (hypergraph/io.cpp)
+/// feeds it as it reads, so a scanned graph is hashed in the same pass.
+class GraphDigest {
+ public:
+  GraphDigest(std::uint64_t n, std::uint64_t m) noexcept;
+
+  void weight(hg::Weight w) noexcept {
+    h_ = mix64(h_, static_cast<std::uint64_t>(w));
+  }
+
+  void edge(std::span<const hg::VertexId> members) noexcept {
+    h_ = mix64(h_, members.size());
+    for (const hg::VertexId v : members) h_ = mix64(h_, v);
+  }
+
+  [[nodiscard]] std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_;
+};
 
 /// Order-sensitive digest of the full instance: n, m, every vertex
 /// weight, and every edge's member list. O(n + links). Equal graphs give

@@ -2,23 +2,77 @@
 // read must reproduce the exact structure (weights, incidence lists in
 // order, derived rank/degree), comments and whitespace are tolerated, and
 // malformed inputs fail with descriptive errors instead of bad graphs.
+// Every token case also runs the scan-to-hgb differential (read_error):
+// append_text_binary against from_text, write_binary and an independent
+// reference reader.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
+#include <new>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "hypergraph/binary.hpp"
 #include "hypergraph/generators.hpp"
 #include "hypergraph/io.hpp"
 #include "hypergraph/weights.hpp"
 
+// The largest single operator new request made while `g_watch` is set
+// (see AllocationWatch): lets a test show that a header's claimed counts
+// are never allocated.
+namespace {
+std::atomic<bool> g_watch{false};
+std::atomic<std::size_t> g_largest{0};
+}  // namespace
+
+// While watching, a request above 1 MiB throws std::bad_alloc, so a
+// reader that trusted a header fails the test instead of the machine.
+// (noinline keeps GCC from pairing the free below with a new it inlined.)
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (g_watch.load(std::memory_order_relaxed)) {
+    std::size_t seen = g_largest.load(std::memory_order_relaxed);
+    while (size > seen && !g_largest.compare_exchange_weak(seen, size)) {
+    }
+    if (size > (std::size_t{1} << 20)) throw std::bad_alloc();
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace hypercover::hg {
 namespace {
+
+/// While alive, records the largest operator new request in g_largest and
+/// makes any request above 1 MiB throw std::bad_alloc.
+class AllocationWatch {
+ public:
+  AllocationWatch() {
+    g_largest = 0;
+    g_watch = true;
+  }
+  ~AllocationWatch() { g_watch = false; }
+  AllocationWatch(const AllocationWatch&) = delete;
+  AllocationWatch& operator=(const AllocationWatch&) = delete;
+
+  [[nodiscard]] std::size_t largest() const { return g_largest.load(); }
+};
 
 void expect_structurally_equal(const Hypergraph& a, const Hypergraph& b) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices());
@@ -254,7 +308,9 @@ TEST(HypergraphIo, RejectsTruncatedInput) {
   EXPECT_THROW((void)from_text("hypergraph 3 2\n1 1 1\n2 0 1\n"),
                std::runtime_error);
   // Huge claimed counts with a truncated body must error out quickly
-  // instead of allocating for the promise.
+  // instead of allocating for the promise (watched, so a reader that did
+  // allocate fails here with std::bad_alloc).
+  const AllocationWatch watch;
   EXPECT_THROW((void)from_text("hypergraph 4000000000 0\n1 1\n"),
                std::runtime_error);
   EXPECT_THROW((void)from_text("hypergraph 2 1\n1 1\n4000000000 0 1\n"),
@@ -295,18 +351,119 @@ TEST(HypergraphIo, ErrorMessagesNameTheOffendingField) {
 // The reader's token language, pinned case by case: what std::stoll
 // accepted on a whole whitespace-separated token is what is accepted.
 
-/// The runtime_error message from_text(text) throws, or "" if it parses.
-std::string read_error(std::string_view text) {
+/// An independent reading of the format: a plain tokenizer, std::stoll on
+/// whole tokens and Builder. It shares no code with the scan, so the
+/// differential below checks acceptance and the image against it. It
+/// reports acceptance only; the error texts are pinned case by case.
+std::optional<Hypergraph> reference_read(std::string_view text) {
+  const auto space = [](char c) { return c == ' ' || (c >= '\t' && c <= '\r'); };
+  std::vector<std::string> tokens;
+  for (std::size_t i = 0; i < text.size();) {
+    if (space(text[i])) {
+      ++i;
+    } else if (text[i] == '#') {
+      const std::size_t nl = text.find('\n', i);
+      i = nl == std::string_view::npos ? text.size() : nl + 1;
+    } else {
+      std::size_t j = i;
+      while (j < text.size() && !space(text[j])) ++j;
+      tokens.emplace_back(text.substr(i, j - i));
+      i = j;
+    }
+  }
+  std::size_t t = 0;
+  const auto next_int = [&](std::int64_t& out) {
+    if (t == tokens.size()) return false;
+    const std::string& tok = tokens[t++];
+    try {
+      std::size_t used = 0;
+      out = std::stoll(tok, &used);
+      return used == tok.size();
+    } catch (const std::logic_error&) {
+      return false;
+    }
+  };
+  std::int64_t n = 0, m = 0;
+  if (t == tokens.size() || tokens[t++] != "hypergraph") return std::nullopt;
+  if (!next_int(n) || !next_int(m) || n < 0 || m < 0) return std::nullopt;
+  Builder b;
+  for (std::int64_t v = 0; v < n; ++v) {
+    std::int64_t w = 0;
+    if (!next_int(w) || w <= 0) return std::nullopt;
+    b.add_vertex(w);
+  }
+  std::vector<VertexId> members;
+  for (std::int64_t e = 0; e < m; ++e) {
+    std::int64_t k = 0;
+    if (!next_int(k) || k <= 0) return std::nullopt;
+    members.clear();
+    for (std::int64_t i = 0; i < k; ++i) {
+      std::int64_t v = 0;
+      if (!next_int(v) || v < 0 || v >= n) return std::nullopt;
+      members.push_back(static_cast<VertexId>(v));
+    }
+    b.add_edge(std::span<const VertexId>(members));
+  }
+  if (t != tokens.size()) return std::nullopt;
   try {
-    (void)from_text(text);
+    return b.build();
+  } catch (const std::invalid_argument&) {  // a duplicate member
+    return std::nullopt;
+  }
+}
+
+/// The runtime_error message from_text(text) throws, or "" if it parses.
+/// Every call also runs the differential of the scan to hgb:
+/// append_text_binary accepts exactly when from_text does, with the same
+/// error text and `out` untouched on error; an accepted text's image (here
+/// written at an unaligned offset) equals write_binary(from_text(text))
+/// and write_binary of the reference reading byte for byte, and
+/// validate_binary accepts it.
+std::string read_error(std::string_view text) {
+  std::string error;
+  std::vector<std::uint8_t> want;
+  try {
+    want = write_binary(from_text(text));
   } catch (const std::runtime_error& e) {
-    return e.what();
+    error = e.what();
+  }
+  const std::vector<std::uint8_t> prefix = {0xAB, 0xCD, 0xEF};
+  std::vector<std::uint8_t> out = prefix;
+  std::string scan_error;
+  try {
+    (void)append_text_binary(out, text);
+  } catch (const std::runtime_error& e) {
+    scan_error = e.what();
+  }
+  EXPECT_EQ(scan_error, error) << text;
+  const std::optional<Hypergraph> reference = reference_read(text);
+  EXPECT_EQ(reference.has_value(), error.empty()) << text;
+  if (!error.empty()) {
+    EXPECT_EQ(out, prefix) << text;
+    return error;
+  }
+  const std::vector<std::uint8_t> image(out.begin() + 3, out.end());
+  EXPECT_EQ(image, want) << text;
+  if (reference.has_value()) {
+    EXPECT_EQ(write_binary(*reference), want) << text;
+  }
+  try {
+    const HgbInfo info = validate_binary(image);
+    EXPECT_EQ(info.file_bytes, image.size());
+  } catch (const BinaryFormatError& e) {
+    ADD_FAILURE() << e.what() << " for " << text;
   }
   return "";
 }
 
+/// from_text(text), after the differential above has accepted it.
+Hypergraph parse(std::string_view text) {
+  EXPECT_EQ(read_error(text), "") << text;
+  return from_text(text);
+}
+
 TEST(HypergraphIoTokens, LeadingPlusIsAccepted) {
-  const auto g = from_text("hypergraph +2 +1\n+3 +4\n+2 +0 +1\n");
+  const auto g = parse("hypergraph +2 +1\n+3 +4\n+2 +0 +1\n");
   ASSERT_EQ(g.num_vertices(), 2u);
   ASSERT_EQ(g.num_edges(), 1u);
   EXPECT_EQ(g.weight(0), 3);
@@ -330,7 +487,7 @@ TEST(HypergraphIoTokens, EveryCLocaleWhitespaceSeparates) {
     for (char& c : text) {
       if (c == ' ' || c == '\n') c = sep;
     }
-    const auto g = from_text(text);
+    const auto g = parse(text);
     EXPECT_EQ(to_text(g), canonical) << "separator " << int{sep};
   }
   // CRLF line ends read like LF ones.
@@ -339,15 +496,15 @@ TEST(HypergraphIoTokens, EveryCLocaleWhitespaceSeparates) {
     if (c == '\n') crlf += '\r';
     crlf += c;
   }
-  EXPECT_EQ(to_text(from_text(crlf)), canonical);
+  EXPECT_EQ(to_text(parse(crlf)), canonical);
 }
 
 TEST(HypergraphIoTokens, HashTokenDropsTheRestOfItsLine) {
   // Mid-line: "9 9" after the comment token is not read.
-  EXPECT_EQ(to_text(from_text("hypergraph 2 1 #comment 9 9\n1 1\n2 0 1\n")),
+  EXPECT_EQ(to_text(parse("hypergraph 2 1 #comment 9 9\n1 1\n2 0 1\n")),
             "hypergraph 2 1\n1 1\n2 0 1\n");
   // A bare '#' token works the same way.
-  EXPECT_EQ(to_text(from_text("hypergraph 1 0 # 5\n4\n")),
+  EXPECT_EQ(to_text(parse("hypergraph 1 0 # 5\n4\n")),
             "hypergraph 1 0\n4\n");
   // At the end of input with no newline, in its own token or line.
   EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1\n# end"), "");
@@ -355,7 +512,7 @@ TEST(HypergraphIoTokens, HashTokenDropsTheRestOfItsLine) {
   EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1 #"), "");
   // Only '\n' ends a comment: a lone '\r' does not.
   EXPECT_EQ(read_error("hypergraph 1 0 #x\r7\n4\n"), "");
-  EXPECT_EQ(from_text("hypergraph 1 0 #x\r7\n4\n").weight(0), 4);
+  EXPECT_EQ(parse("hypergraph 1 0 #x\r7\n4\n").weight(0), 4);
   // '#' inside a token is not a comment.
   EXPECT_EQ(read_error("hypergraph 1 0\n1#\n"),
             "hypergraph read: bad integer '1#' for weight");
@@ -364,7 +521,7 @@ TEST(HypergraphIoTokens, HashTokenDropsTheRestOfItsLine) {
 }
 
 TEST(HypergraphIoTokens, Int64RangeIsExact) {
-  const auto g = from_text("hypergraph 1 0\n9223372036854775807\n");
+  const auto g = parse("hypergraph 1 0\n9223372036854775807\n");
   EXPECT_EQ(g.weight(0), std::numeric_limits<Weight>::max());
   // 2^63 overflows, signed or not.
   EXPECT_EQ(read_error("hypergraph 1 0\n9223372036854775808\n"),
@@ -381,7 +538,7 @@ TEST(HypergraphIoTokens, Int64RangeIsExact) {
             "hypergraph read: weight -9223372036854775808 of vertex 0 is "
             "not positive");
   // Leading zeros do not count against the range.
-  EXPECT_EQ(from_text("hypergraph 1 0\n000000000000000000000007\n").weight(0),
+  EXPECT_EQ(parse("hypergraph 1 0\n000000000000000000000007\n").weight(0),
             7);
 }
 
@@ -430,6 +587,104 @@ TEST(HypergraphIoTokens, ErrorMessagesAreUnchanged) {
             "hypergraph read: edge 0 has duplicate vertex 1");
   EXPECT_EQ(read_error("hypergraph 2 1\n1 1\n2 0 1\njunk\n"),
             "hypergraph read: trailing token 'junk' after the last edge");
+}
+
+TEST(HypergraphIoScan, MatchesWriteBinaryOverGeneratorFamilies) {
+  Builder wide;  // wide weights, a one-member edge, an isolated vertex
+  wide.add_vertices(3, std::numeric_limits<Weight>::max());
+  wide.add_edge({2});
+  wide.add_edge({0, 2});
+  const Hypergraph graphs[] = {
+      random_uniform(80, 160, 3, exponential_weights(12), 7),
+      random_uniform(470, 1410, 3, exponential_weights(16), 31),
+      random_bounded_degree(100, 150, 40, 6, uniform_weights(999), 8),
+      hyper_star(25, 3, uniform_weights(17), 9),
+      hyper_star(3, 60, uniform_weights(5), 19),  // 60-member edges
+      cycle(12, bimodal_weights(1000), 10),
+      random_set_cover(40, 90, 3, uniform_weights(64), 11),
+      grid(7, 9, unit_weights(), 12),
+      Builder{}.build(),
+      wide.build(),
+  };
+  for (const auto& g : graphs) {
+    const std::string text = to_text(g);
+    EXPECT_EQ(read_error(text), "");
+    std::vector<std::uint8_t> image;
+    const HgbInfo info = append_text_binary(image, text);
+    EXPECT_EQ(image, write_binary(g));  // the generator's own graph
+    EXPECT_EQ(info.n, g.num_vertices());
+    EXPECT_EQ(info.m, g.num_edges());
+    EXPECT_EQ(info.file_bytes, image.size());
+    HgbInfo parsed_info;
+    const Hypergraph parsed = from_text(text, &parsed_info);
+    EXPECT_EQ(parsed_info.graph_digest, info.graph_digest);
+    expect_structurally_equal(g, parsed);
+  }
+}
+
+TEST(HypergraphIoScan, UnsortedMembersMatchTheSortedImage) {
+  // Members in reverse order, in a small and a large edge (std::sort
+  // sorts up to 16 elements by insertion and larger ranges otherwise).
+  std::string text = "hypergraph 40 2\n";
+  for (int v = 0; v < 40; ++v) text += "1 ";
+  text += "\n5 4 3 2 1 0\n40";
+  for (int v = 39; v >= 0; --v) text += ' ' + std::to_string(v);
+  text += "\n";
+  EXPECT_EQ(read_error(text), "");
+  // A duplicate found only once a large edge is sorted.
+  std::string dup = "hypergraph 20 1\n";
+  for (int v = 0; v < 20; ++v) dup += "1 ";
+  dup += "\n20";
+  for (int v = 19; v >= 1; --v) dup += ' ' + std::to_string(v);
+  dup += " 19\n";
+  EXPECT_EQ(read_error(dup), "hypergraph read: edge 0 has duplicate vertex 19");
+}
+
+TEST(HypergraphIoScan, MatchesOverTheFuzzCorpusAndEveryPrefix) {
+  const std::filesystem::path dir =
+      std::filesystem::path(HYPERCOVER_SOURCE_DIR) / "fuzz/corpus/text_reader";
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    // Each prefix cuts a token or a line short somewhere. Watched, as the
+    // corpus holds a huge-header seed.
+    const AllocationWatch watch;
+    for (std::size_t len = 0; len <= text.size(); ++len) {
+      (void)read_error(std::string_view(text).substr(0, len));
+    }
+    ++files;
+  }
+  EXPECT_GE(files, 7u);
+}
+
+TEST(HypergraphIoScan, HugeHeaderCountsAllocateNothingLarge) {
+  const std::string_view texts[] = {
+      "hypergraph 4000000000 0\n1 1\n",
+      "hypergraph 4000000000 4000000000\n",
+      "hypergraph 1 4000000000\n1\n1 0\n",
+      "hypergraph 2 1\n1 1\n4000000000 0 1\n",
+  };
+  const std::string_view errors[] = {
+      "hypergraph read: missing weight",
+      "hypergraph read: missing weight",
+      "hypergraph read: missing edge size",
+      "hypergraph read: missing edge member",
+  };
+  for (std::size_t i = 0; i < std::size(texts); ++i) {
+    // Both readers and the reference run watched: one that sized memory
+    // from the header would throw std::bad_alloc here, not allocate it.
+    std::string error;
+    std::size_t largest = 0;
+    {
+      const AllocationWatch watch;
+      error = read_error(texts[i]);
+      largest = watch.largest();
+    }
+    EXPECT_EQ(error, errors[i]);
+    EXPECT_LE(largest, 1024u) << texts[i];
+  }
 }
 
 /// A stream buffer that cannot seek and hands out a few bytes per
