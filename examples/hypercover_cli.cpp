@@ -45,8 +45,8 @@
 // come back on the Result and are written as one Chrome-trace JSON,
 // loadable in Perfetto / chrome://tracing (scripts/trace_check.py
 // validates it). --server-metrics prints the server's Prometheus text
-// exposition and exits. Both need a protocol-v4 server; tracing is pure
-// observation — the Solution bytes are bit-identical either way.
+// exposition and exits. Tracing is pure observation — the Solution
+// bytes are bit-identical either way.
 //
 // --list-algos prints one `name<TAB>kind<TAB>description` line per
 // registered algorithm (the valid --algo values) and exits. Dispatch is
@@ -378,28 +378,9 @@ int run_connect(const util::Cli& cli, const CommonKnobs& knobs) {
   }
   if (cli.has("server-stats")) {
     const server::ServerStats s = client.stats();
-    std::cout << "connections: " << s.connections << "\n"
-              << "requests: " << s.requests << "\n"
-              << "solves: " << s.solves << "\n"
-              << "cache_hits: " << s.cache_hits << "\n"
-              << "cache_misses: " << s.cache_misses << "\n"
-              << "cache_evictions: " << s.cache_evictions << "\n"
-              << "cache_entries: " << s.cache_entries << "\n"
-              << "busy_rejections: " << s.busy_rejections << "\n"
-              << "protocol_errors: " << s.protocol_errors << "\n"
-              << "in_flight: " << s.in_flight << "\n"
-              << "queued_bytes: " << s.queued_bytes << "\n"
-              << "pool_threads: " << s.pool_threads << "\n"
-              << "max_inflight: " << s.max_inflight << "\n"
-              << "engine_rounds: " << s.engine_rounds << "\n"
-              << "engine_agent_steps: " << s.engine_agent_steps << "\n"
-              << "engine_step_cycles: " << s.engine_step_cycles << "\n"
-              << "engine_slots_processed: " << s.engine_slots_processed << "\n"
-              << "engine_clear_slots: " << s.engine_clear_slots << "\n"
-              << "engine_sparse_clear_passes: " << s.engine_sparse_clear_passes
-              << "\n"
-              << "engine_dense_clear_passes: " << s.engine_dense_clear_passes
-              << "\n";
+    server::for_each_stats_field([&](const char* name, auto field) {
+      std::cout << name << ": " << s.*field << "\n";
+    });
     return 0;
   }
 
@@ -430,15 +411,7 @@ int run_connect(const util::Cli& cli, const CommonKnobs& knobs) {
   }
 
   const std::string trace_out = cli.get("trace-out", std::string());
-  if (!trace_out.empty() && trace_out != "1") {
-    if (client.version() < server::kProtocolVersion) {
-      std::cerr << "error: --trace-out needs a protocol-v4 server (peer "
-                   "negotiated v"
-                << client.version() << ")\n";
-      return 1;
-    }
-    client.set_tracing(true);
-  }
+  if (!trace_out.empty() && trace_out != "1") client.set_tracing(true);
 
   server::GraphInfo ginfo;
   server::WireResult wire;

@@ -26,15 +26,11 @@
 //
 // Exit code 0 after a clean drain, 1 on startup/usage errors.
 
-#include <atomic>
-#include <chrono>
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -52,45 +48,6 @@ router::Router* g_router = nullptr;
 extern "C" void handle_signal(int) {
   if (g_router != nullptr) g_router->request_stop();
 }
-
-void dump_metrics(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (out) out << obs::metrics().prometheus_text();
-}
-
-/// Rewrites --metrics-path every interval until stopped, then once more
-/// (the drain-final dump the CI smoke test greps).
-class MetricsDumper {
- public:
-  MetricsDumper(std::string path, std::uint32_t interval_ms)
-      : path_(std::move(path)), interval_ms_(interval_ms) {
-    if (!path_.empty()) thread_ = std::thread([this] { loop(); });
-  }
-  ~MetricsDumper() {
-    if (!thread_.joinable()) return;
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-    dump_metrics(path_);
-  }
-
- private:
-  void loop() {
-    std::uint32_t slept = interval_ms_;  // dump immediately at startup
-    while (!stop_.load(std::memory_order_acquire)) {
-      if (slept >= interval_ms_) {
-        dump_metrics(path_);
-        slept = 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      slept += 50;
-    }
-  }
-
-  const std::string path_;
-  const std::uint32_t interval_ms_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -151,7 +108,7 @@ int run(const util::Cli& cli) {
               << " vnodes each\n";
   }
   {
-    const MetricsDumper dumper(
+    const obs::MetricsDumper dumper(
         metrics_path, static_cast<std::uint32_t>(metrics_interval));
     rt.serve();
   }

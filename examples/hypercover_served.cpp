@@ -24,14 +24,10 @@
 //
 // Exit code 0 after a clean drain, 1 on startup/usage errors.
 
-#include <atomic>
-#include <chrono>
 #include <csignal>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <string>
-#include <thread>
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -50,45 +46,6 @@ extern "C" void handle_signal(int) {
   // async-signal-safe.
   if (g_server != nullptr) g_server->request_stop();
 }
-
-void dump_metrics(const std::string& path) {
-  std::ofstream out(path, std::ios::trunc);
-  if (out) out << obs::metrics().prometheus_text();
-}
-
-/// Rewrites --metrics-path every interval until stopped, then once more
-/// (the drain-final dump the CI smoke test greps).
-class MetricsDumper {
- public:
-  MetricsDumper(std::string path, std::uint32_t interval_ms)
-      : path_(std::move(path)), interval_ms_(interval_ms) {
-    if (!path_.empty()) thread_ = std::thread([this] { loop(); });
-  }
-  ~MetricsDumper() {
-    if (!thread_.joinable()) return;
-    stop_.store(true, std::memory_order_release);
-    thread_.join();
-    dump_metrics(path_);
-  }
-
- private:
-  void loop() {
-    std::uint32_t slept = interval_ms_;  // dump immediately at startup
-    while (!stop_.load(std::memory_order_acquire)) {
-      if (slept >= interval_ms_) {
-        dump_metrics(path_);
-        slept = 0;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      slept += 50;
-    }
-  }
-
-  const std::string path_;
-  const std::uint32_t interval_ms_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 int run(const util::Cli& cli) {
   server::ServerOptions opts;
@@ -134,7 +91,7 @@ int run(const util::Cli& cli) {
               << opts.max_inflight << " in-flight jobs)\n";
   }
   {
-    const MetricsDumper dumper(
+    const obs::MetricsDumper dumper(
         metrics_path, static_cast<std::uint32_t>(metrics_interval));
     srv.serve();
   }

@@ -1,7 +1,11 @@
 #include "obs/metrics.hpp"
 
 #include <bit>
+#include <chrono>
+#include <fstream>
 #include <stdexcept>
+#include <stop_token>
+#include <utility>
 
 namespace hypercover::obs {
 
@@ -140,6 +144,30 @@ std::string Registry::prometheus_text() const {
 Registry& metrics() {
   static Registry global;
   return global;
+}
+
+void dump_metrics(const std::string& path) {
+  std::ofstream out(path, std::ios::trunc);
+  if (out) out << metrics().prometheus_text();
+}
+
+// The jthread's destructor requests the stop and joins, so the thread's
+// last dump is the drain-final one.
+MetricsDumper::MetricsDumper(std::string path, std::uint32_t interval_ms)
+    : path_(std::move(path)) {
+  if (path_.empty()) return;
+  thread_ = std::jthread([this, interval_ms](const std::stop_token& stop) {
+    std::uint32_t slept = interval_ms;  // dump immediately at startup
+    while (!stop.stop_requested()) {
+      if (slept >= interval_ms) {
+        dump_metrics(path_);
+        slept = 0;
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      slept += 50;
+    }
+    dump_metrics(path_);
+  });
 }
 
 }  // namespace hypercover::obs

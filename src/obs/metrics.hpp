@@ -21,6 +21,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 
 namespace hypercover::obs {
 
@@ -104,5 +105,23 @@ class Registry {
 
 /// The process-global registry every serving layer records into.
 [[nodiscard]] Registry& metrics();
+
+/// Overwrites `path` with the global registry's Prometheus text.
+void dump_metrics(const std::string& path);
+
+/// A daemon's --metrics-path file: rewritten every `interval_ms` from
+/// construction (immediately first), then once more when destroyed —
+/// the drain-final dump. An empty path starts nothing.
+class MetricsDumper {
+ public:
+  MetricsDumper(std::string path, std::uint32_t interval_ms);
+
+  MetricsDumper(const MetricsDumper&) = delete;
+  MetricsDumper& operator=(const MetricsDumper&) = delete;
+
+ private:
+  const std::string path_;
+  std::jthread thread_;
+};
 
 }  // namespace hypercover::obs

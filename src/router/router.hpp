@@ -25,8 +25,9 @@
 // (solves, cache hits, failures, health) are exposed on the Router API
 // and printed by the hypercover_router binary at drain.
 //
-// Threading mirrors SolveServer: one accept loop, one handler thread
-// per client connection. Each handler keeps its own lazily-connected
+// Threading: server::Service (service.hpp, shared with SolveServer)
+// runs the accept loop and one handler thread per client connection.
+// Each handler's session keeps its own lazily-connected
 // upstream socket per backend (the backend protocol is stateful — a
 // staged graph belongs to a connection), so handlers never share
 // sockets and need no I/O locks; only the health registry and counters

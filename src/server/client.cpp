@@ -42,97 +42,56 @@ Frame Client::round_trip(FrameTag request,
                       std::to_string(static_cast<unsigned>(reply.tag)));
 }
 
-void Client::handshake(const std::string& address, std::uint32_t timeout_ms,
-                       std::uint32_t version) {
+void Client::connect(const std::string& address, std::uint32_t timeout_ms) {
   sock_ = connect_to(address, timeout_ms);
   sock_.set_recv_timeout(timeout_ms);
   PayloadWriter w;
-  w.u32(version);
+  w.u32(kProtocolVersion);
   const Frame reply = round_trip(FrameTag::kHello, w.take(), FrameTag::kHelloOk);
   PayloadReader r(reply.payload);
   const std::uint32_t got = r.u32();
-  if (got < kMinProtocolVersion || got > version) {
+  if (got != kProtocolVersion) {
     throw RemoteError("server speaks protocol version " +
                       std::to_string(got) + ", client speaks " +
-                      std::to_string(version));
-  }
-  version_ = got;
-}
-
-void Client::connect(const std::string& address, std::uint32_t timeout_ms) {
-  try {
-    handshake(address, timeout_ms, kProtocolVersion);
-  } catch (const RemoteError&) {
-    // A v3 server rejects the v4 Hello with Error and drops the
-    // connection; one reconnect at the legacy version restores service
-    // (without the v4 trace/metrics features). A server that is simply
-    // gone throws SocketError instead and propagates.
-    handshake(address, timeout_ms, kMinProtocolVersion);
+                      std::to_string(kProtocolVersion));
   }
 }
 
-GraphInfo Client::submit_graph(std::uint8_t kind, std::string_view bytes) {
+GraphInfo Client::submit_graph(FrameTag tag, std::uint8_t kind,
+                               std::string_view bytes) {
   PayloadWriter w;
   w.u8(kind);
   w.str(bytes);
-  const Frame reply =
-      round_trip(FrameTag::kSubmitGraph, w.take(), FrameTag::kGraphOk);
+  const Frame reply = round_trip(tag, w.take(), FrameTag::kGraphOk);
   PayloadReader r(reply.payload);
-  GraphInfo info;
-  info.digest = r.u64();
-  info.vertices = r.u32();
-  info.edges = r.u32();
-  return info;
+  return decode_graph_ok(r);
 }
 
 GraphInfo Client::submit_graph_text(std::string_view text) {
-  return submit_graph(0, text);  // inline text
+  return submit_graph(FrameTag::kSubmitGraph, kGraphInline, text);
 }
 
 GraphInfo Client::submit_graph_path(const std::string& path) {
-  return submit_graph(1, path);  // path-by-reference
+  return submit_graph(FrameTag::kSubmitGraph, kGraphByPath, path);
 }
-
-namespace {
-GraphInfo decode_graph_ok(const Frame& reply) {
-  PayloadReader r(reply.payload);
-  GraphInfo info;
-  info.digest = r.u64();
-  info.vertices = r.u32();
-  info.edges = r.u32();
-  return info;
-}
-}  // namespace
 
 GraphInfo Client::submit_graph_binary(std::span<const std::uint8_t> hgb) {
-  PayloadWriter w;
-  w.u8(0);  // inline hgb bytes
-  w.bytes(hgb);
-  return decode_graph_ok(
-      round_trip(FrameTag::kSubmitGraphBinary, w.take(), FrameTag::kGraphOk));
+  const std::string_view bytes(reinterpret_cast<const char*>(hgb.data()),
+                               hgb.size());
+  return submit_graph(FrameTag::kSubmitGraphBinary, kGraphInline, bytes);
 }
 
 GraphInfo Client::submit_graph_binary_path(const std::string& path) {
-  PayloadWriter w;
-  w.u8(1);  // path-by-reference, server mmaps
-  w.str(path);
-  return decode_graph_ok(
-      round_trip(FrameTag::kSubmitGraphBinary, w.take(), FrameTag::kGraphOk));
+  return submit_graph(FrameTag::kSubmitGraphBinary, kGraphByPath, path);
 }
 
 WireResult Client::solve(std::string_view algorithm, const SolveKnobs& knobs) {
-  // Tracing is client-local until proven propagatable: a trace id is
-  // minted per solve, the root span always records locally, and the
-  // context rides the wire only on a v4 connection (a v3 server would
-  // choke on the tail).
+  // A trace id is minted per traced solve; the root span records locally
+  // and the context rides the Solve so every layer parents under it.
   const std::uint64_t trace_id = tracing_ ? obs::new_id() : 0;
   obs::Span root(obs::recorder(), "client.solve", obs::Proc::kClient,
                  trace_id, /*parent_span_id=*/0);
-  TraceContext trace;
-  if (trace_id != 0 && version_ >= kProtocolVersion) {
-    trace.trace_id = trace_id;
-    trace.parent_span_id = root.id();
-  }
+  const TraceContext trace{trace_id, trace_id != 0 ? root.id() : 0};
   PayloadWriter w;
   encode_solve(w, algorithm, knobs, trace);
   const std::vector<std::uint8_t> payload = w.take();
@@ -185,11 +144,6 @@ WireResult Client::solve(std::string_view algorithm, const SolveKnobs& knobs) {
 }
 
 std::string Client::metrics_text() {
-  if (version_ < kProtocolVersion) {
-    throw RemoteError("server speaks protocol version " +
-                      std::to_string(version_) +
-                      ", which has no Metrics frame");
-  }
   const Frame reply =
       round_trip(FrameTag::kMetrics, {}, FrameTag::kMetricsReply);
   PayloadReader r(reply.payload);

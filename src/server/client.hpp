@@ -37,13 +37,6 @@ class RemoteError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Reply to a SubmitGraph frame.
-struct GraphInfo {
-  std::uint64_t digest = 0;
-  std::uint32_t vertices = 0;
-  std::uint32_t edges = 0;
-};
-
 /// Bounded exponential backoff for Busy replies to solve(). Attempt k
 /// (0-based) sleeps base_delay_ms << k, capped at max_delay_ms, with
 /// the upper half jittered from an explicitly seeded PRNG — so two
@@ -105,18 +98,13 @@ class Client {
 
   /// Enables per-solve tracing: each solve() mints a trace id, records a
   /// client.solve root span (plus per-retry client.busy_retry spans) and
-  /// — on a v4 connection — propagates the context on the wire so the
-  /// router and server stitch their spans into the same trace.
+  /// propagates the context on the wire so the router and server stitch
+  /// their spans into the same trace.
   void set_tracing(bool enabled) noexcept { tracing_ = enabled; }
-
-  /// The protocol version negotiated at connect (3 after the legacy
-  /// fallback, otherwise kProtocolVersion).
-  [[nodiscard]] std::uint32_t version() const noexcept { return version_; }
 
   ServerStats stats();
 
-  /// Prometheus text exposition scraped from the server (protocol v4;
-  /// throws RemoteError on a v3 connection).
+  /// Prometheus text exposition scraped from the server.
   std::string metrics_text();
 
   /// Asks the server to drain and exit; returns once ShutdownOk arrives.
@@ -130,16 +118,13 @@ class Client {
   Frame round_trip(FrameTag request, const std::vector<std::uint8_t>& payload,
                    FrameTag expected_reply);
 
-  /// Shared body of the two submit_graph_* forms (kind byte + bytes).
-  GraphInfo submit_graph(std::uint8_t kind, std::string_view bytes);
-
-  /// Connect + Hello with one specific protocol version.
-  void handshake(const std::string& address, std::uint32_t timeout_ms,
-                 std::uint32_t version);
+  /// Shared body of the submit_graph_* forms: kind byte, then the
+  /// length-prefixed graph bytes or path.
+  GraphInfo submit_graph(FrameTag tag, std::uint8_t kind,
+                         std::string_view bytes);
 
   Socket sock_;
   BusyRetryPolicy busy_retry_;
-  std::uint32_t version_ = kProtocolVersion;
   bool tracing_ = false;
 };
 

@@ -26,10 +26,9 @@
 //     knocks idle connections loose, lets every in-flight solve finish
 //     and deliver its Result, then drains the scheduler and returns.
 //
-// Threading: one accept loop (the serve() caller), one handler thread
-// per connection (blocking request/response, so a connection needs no
-// internal synchronization), and the scheduler's worker pool underneath
-// all of them.
+// Threading: server::Service (service.hpp, shared with router::Router)
+// runs the accept loop and one handler thread per connection; the
+// scheduler's worker pool runs underneath all of them.
 
 #include <cstddef>
 #include <cstdint>

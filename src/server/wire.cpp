@@ -162,8 +162,8 @@ void encode_solve(PayloadWriter& w, std::string_view algorithm,
   if (knobs.use_alpha_fixed) flags |= kKnobAlphaFixed;
   if (!knobs.certify) flags |= kKnobNoCertify;
   w.u8(flags);
-  // v4 trace-context tail, omitted for untraced requests so the frame
-  // stays byte-identical to v3 (kTraceParentTailOffset depends on the
+  // Trace-context tail, omitted for untraced requests so the frame
+  // carries no suffix (kTraceParentTailOffset depends on the
   // parent span id being the final 8 bytes).
   if (trace.trace_id != 0) {
     w.u64(trace.trace_id);
@@ -218,10 +218,10 @@ void put_duals(PayloadWriter& w, const std::vector<double>& duals) {
   for (const double d : duals) w.f64(d);
 }
 
-// v4 Result span tail: u32 count, then per span six u64s, the proc
-// byte, and the name string. Omitted entirely when there are no spans,
-// so the untraced Result stays byte-identical to v3 — and "absent" is
-// the canonical form of "count == 0" under the re-encode fixed point.
+// Result span tail: u32 count, then per span six u64s, the proc byte,
+// and the name string. Omitted entirely when there are no spans, so the
+// untraced Result carries no suffix — and "absent" is the canonical
+// form of "count == 0" under the re-encode fixed point.
 void put_spans(PayloadWriter& w, std::span<const obs::SpanRecord> spans) {
   if (spans.empty()) return;
   w.u32(static_cast<std::uint32_t>(spans.size()));
@@ -362,51 +362,40 @@ WireResult decode_result(PayloadReader& r) {
   return out;
 }
 
+void encode_graph_ok(PayloadWriter& w, const GraphInfo& g) {
+  w.u64(g.digest);
+  w.u32(g.vertices);
+  w.u32(g.edges);
+}
+
+GraphInfo decode_graph_ok(PayloadReader& r) {
+  GraphInfo g;
+  g.digest = r.u64();
+  g.vertices = r.u32();
+  g.edges = r.u32();
+  return g;
+}
+
+// Each field goes on the wire at its own width: u32 or u64.
 void encode_stats(PayloadWriter& w, const ServerStats& s) {
-  w.u64(s.connections);
-  w.u64(s.requests);
-  w.u64(s.solves);
-  w.u64(s.cache_hits);
-  w.u64(s.cache_misses);
-  w.u64(s.cache_evictions);
-  w.u64(s.busy_rejections);
-  w.u64(s.protocol_errors);
-  w.u64(s.in_flight);
-  w.u64(s.queued_bytes);
-  w.u64(s.cache_entries);
-  w.u32(s.pool_threads);
-  w.u32(s.max_inflight);
-  w.u64(s.engine_rounds);
-  w.u64(s.engine_agent_steps);
-  w.u64(s.engine_step_cycles);
-  w.u64(s.engine_slots_processed);
-  w.u64(s.engine_clear_slots);
-  w.u64(s.engine_sparse_clear_passes);
-  w.u64(s.engine_dense_clear_passes);
+  for_each_stats_field([&](const char*, auto field) {
+    if constexpr (sizeof(s.*field) == 4) {
+      w.u32(s.*field);
+    } else {
+      w.u64(s.*field);
+    }
+  });
 }
 
 ServerStats decode_stats(PayloadReader& r) {
   ServerStats s;
-  s.connections = r.u64();
-  s.requests = r.u64();
-  s.solves = r.u64();
-  s.cache_hits = r.u64();
-  s.cache_misses = r.u64();
-  s.cache_evictions = r.u64();
-  s.busy_rejections = r.u64();
-  s.protocol_errors = r.u64();
-  s.in_flight = r.u64();
-  s.queued_bytes = r.u64();
-  s.cache_entries = r.u64();
-  s.pool_threads = r.u32();
-  s.max_inflight = r.u32();
-  s.engine_rounds = r.u64();
-  s.engine_agent_steps = r.u64();
-  s.engine_step_cycles = r.u64();
-  s.engine_slots_processed = r.u64();
-  s.engine_clear_slots = r.u64();
-  s.engine_sparse_clear_passes = r.u64();
-  s.engine_dense_clear_passes = r.u64();
+  for_each_stats_field([&](const char*, auto field) {
+    if constexpr (sizeof(s.*field) == 4) {
+      s.*field = r.u32();
+    } else {
+      s.*field = r.u64();
+    }
+  });
   return s;
 }
 

@@ -1,17 +1,19 @@
 #pragma once
 // The solve service's frame protocol: length-prefixed binary frames over
-// a stream socket, shared verbatim by server::SolveServer and
-// server::Client (one encoder/decoder, so the two sides cannot drift).
+// a stream socket, shared verbatim by server::SolveServer,
+// router::Router (on both of its faces) and server::Client (one
+// encoder/decoder, so the sides cannot drift).
 //
 // Frame layout (all integers little-endian):
 //   u32 payload_length | u8 tag | payload bytes
 //
 // Conversation (client drives; every request gets exactly one reply):
-//   Hello{version}            -> HelloOk{version, algorithms}
+//   Hello{version}            -> HelloOk{version, algorithms}  | Error
 //   SubmitGraph{text | path}  -> GraphOk{graph_digest, n, m}   | Error
 //   SubmitGraphBinary{hgb bytes | path} -> GraphOk{...}        | Error
 //   Solve{algo, knobs}        -> Result{...}                   | Busy | Error
 //   Stats{}                   -> StatsReply{counters}
+//   Metrics{}                 -> MetricsReply{Prometheus text}
 //   Shutdown{}                -> ShutdownOk{}   (server then drains + exits)
 //
 // A malformed frame (oversized length field, unknown tag, short payload)
@@ -35,21 +37,12 @@
 
 namespace hypercover::server {
 
-/// v2 added SubmitGraphBinary (hgb buffers inline or by-path) and the
-/// cache_evictions stats counter. v3 extends StatsReply with the
-/// cumulative engine work counters (rounds, agent steps, step cycles,
-/// clearing decisions) accumulated over cold solves. v4 adds trace
-/// propagation (an optional trace-context tail on Solve, an optional
-/// span-block tail on Result) and the Metrics/MetricsReply scrape pair.
-/// Both v4 tails are optional *suffixes*: a server negotiates down to
-/// v3 per connection and then neither sends nor expects them, so old
-/// and new peers interoperate (locked by the obs wire-compat tests).
+/// The one protocol version every peer in this repo speaks. A Hello
+/// carrying any other version gets Error and the connection is dropped;
+/// there is no negotiation. Trace propagation rides optional suffixes
+/// (a trace-context tail on Solve, a span-block tail on Result), omitted
+/// for untraced requests.
 inline constexpr std::uint32_t kProtocolVersion = 4;
-
-/// The oldest protocol version this build still speaks. Client and
-/// router fall back to it (one reconnect) when a v3 peer rejects the
-/// v4 Hello.
-inline constexpr std::uint32_t kMinProtocolVersion = 3;
 
 /// Default cap on one frame's payload. Admission control can lower the
 /// effective graph size well below this; the cap exists so a garbage
@@ -70,9 +63,14 @@ enum class FrameTag : std::uint8_t {
   kBusy = 11,
   kError = 12,
   kSubmitGraphBinary = 13,
-  kMetrics = 14,       // request: empty payload (protocol v4)
+  kMetrics = 14,       // request: empty payload
   kMetricsReply = 15,  // reply: one str, Prometheus text exposition
 };
+
+/// Graph kinds on a SubmitGraph / SubmitGraphBinary frame: the graph
+/// itself (text or hgb bytes), or a path the receiving peer opens.
+inline constexpr std::uint8_t kGraphInline = 0;
+inline constexpr std::uint8_t kGraphByPath = 1;
 
 /// Peer spoke the protocol wrongly (truncated frame, unknown tag, length
 /// over the cap, short payload). Distinct from SocketError (OS failure).
@@ -166,11 +164,10 @@ struct SolveKnobs {
 /// single mapping — a SolveRequest holds live-only state too).
 [[nodiscard]] api::SolveRequest to_request(const SolveKnobs& knobs);
 
-/// Trace context riding a Solve frame (protocol v4): the request's
-/// trace id and the sender's enclosing span, so the receiving layer
-/// parents its spans into one stitched per-request trace. trace_id == 0
-/// means "not traced" and the tail is omitted entirely (the canonical
-/// v3-compatible encoding).
+/// Trace context riding a Solve frame: the request's trace id and the
+/// sender's enclosing span, so the receiving layer parents its spans
+/// into one stitched per-request trace. trace_id == 0 means "not traced"
+/// and the tail is omitted entirely (the canonical encoding).
 struct TraceContext {
   std::uint64_t trace_id = 0;
   std::uint64_t parent_span_id = 0;
@@ -211,9 +208,8 @@ struct WireResult {
   double wall_ms = 0;
   std::vector<bool> in_cover;   // full instance size
   std::vector<double> duals;    // full instance size
-  /// Spans recorded downstream of this hop for the request's trace
-  /// (protocol v4). Encoded as an optional tail, omitted when empty —
-  /// so the untraced encoding is byte-identical to v3.
+  /// Spans recorded downstream of this hop for the request's trace.
+  /// Encoded as an optional tail, omitted when empty.
   std::vector<obs::SpanRecord> spans;
   /// Client-local serving stats, filled by Client::solve and NEVER
   /// encoded: Busy retries performed and backoff actually slept.
@@ -231,6 +227,16 @@ void encode_result(PayloadWriter& w, const api::Solution& sol, bool cache_hit,
 void encode_result(PayloadWriter& w, const WireResult& res);
 [[nodiscard]] WireResult decode_result(PayloadReader& r);
 
+/// The GraphOk reply to a SubmitGraph / SubmitGraphBinary frame.
+struct GraphInfo {
+  std::uint64_t digest = 0;
+  std::uint32_t vertices = 0;
+  std::uint32_t edges = 0;
+};
+
+void encode_graph_ok(PayloadWriter& w, const GraphInfo& g);
+[[nodiscard]] GraphInfo decode_graph_ok(PayloadReader& r);
+
 /// Server counters on a StatsReply frame.
 struct ServerStats {
   std::uint64_t connections = 0;
@@ -238,7 +244,7 @@ struct ServerStats {
   std::uint64_t solves = 0;          // Result frames sent
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t cache_evictions = 0;  // capacity pressure (protocol v2)
+  std::uint64_t cache_evictions = 0;  // capacity pressure
   std::uint64_t busy_rejections = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t in_flight = 0;
@@ -247,7 +253,7 @@ struct ServerStats {
   std::uint32_t pool_threads = 0;
   std::uint32_t max_inflight = 0;
   // Cumulative engine work across cold solves (cache hits ran no engine),
-  // summed from each Solution's RunStats (protocol v3). engine_step_cycles
+  // summed from each Solution's RunStats. engine_step_cycles
   // over engine_agent_steps is the server's cycles-per-agent-step;
   // engine_clear_slots counts the presence bytes wiped when mailbox
   // buffers retire (64 per wiped presence line, capped at the link count).
@@ -259,6 +265,33 @@ struct ServerStats {
   std::uint64_t engine_sparse_clear_passes = 0;
   std::uint64_t engine_dense_clear_passes = 0;
 };
+
+/// Calls `f("field", &ServerStats::field)` for every field in wire
+/// order: the one field list the StatsReply codec, the router's fleet
+/// sum and the CLI's --server-stats print share.
+template <class F>
+void for_each_stats_field(F&& f) {
+  f("connections", &ServerStats::connections);
+  f("requests", &ServerStats::requests);
+  f("solves", &ServerStats::solves);
+  f("cache_hits", &ServerStats::cache_hits);
+  f("cache_misses", &ServerStats::cache_misses);
+  f("cache_evictions", &ServerStats::cache_evictions);
+  f("busy_rejections", &ServerStats::busy_rejections);
+  f("protocol_errors", &ServerStats::protocol_errors);
+  f("in_flight", &ServerStats::in_flight);
+  f("queued_bytes", &ServerStats::queued_bytes);
+  f("cache_entries", &ServerStats::cache_entries);
+  f("pool_threads", &ServerStats::pool_threads);
+  f("max_inflight", &ServerStats::max_inflight);
+  f("engine_rounds", &ServerStats::engine_rounds);
+  f("engine_agent_steps", &ServerStats::engine_agent_steps);
+  f("engine_step_cycles", &ServerStats::engine_step_cycles);
+  f("engine_slots_processed", &ServerStats::engine_slots_processed);
+  f("engine_clear_slots", &ServerStats::engine_clear_slots);
+  f("engine_sparse_clear_passes", &ServerStats::engine_sparse_clear_passes);
+  f("engine_dense_clear_passes", &ServerStats::engine_dense_clear_passes);
+}
 
 void encode_stats(PayloadWriter& w, const ServerStats& s);
 [[nodiscard]] ServerStats decode_stats(PayloadReader& r);

@@ -18,7 +18,7 @@
 namespace hypercover::testing_sessions {
 
 /// Sessions played by play_malformed_sessions().
-inline constexpr std::uint64_t kMalformedSessions = 4;
+inline constexpr std::uint64_t kMalformedSessions = 5;
 
 inline void greet(server::Socket& sock) {
   server::PayloadWriter hello;
@@ -36,12 +36,19 @@ inline void expect_error_reply(server::Socket& sock) {
 }
 
 /// Plays, on fresh connections to `address`: a non-Hello first frame,
-/// a request with trailing payload bytes, an unknown frame tag, and a
-/// truncated frame.
+/// a Hello at another protocol version, a request with trailing payload
+/// bytes, an unknown frame tag, and a truncated frame.
 inline void play_malformed_sessions(const std::string& address) {
   {
     server::Socket sock = server::connect_to(address);
     server::write_frame(sock, server::FrameTag::kStats);
+    expect_error_reply(sock);
+  }
+  {
+    server::Socket sock = server::connect_to(address);
+    server::PayloadWriter hello;
+    hello.u32(server::kProtocolVersion - 1);
+    server::write_frame(sock, server::FrameTag::kHello, hello.take());
     expect_error_reply(sock);
   }
   {

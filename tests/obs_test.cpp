@@ -3,12 +3,12 @@
 // The contract under test: the span recorder never blocks or tears a
 // record (drop-oldest rings, seqlock slots — exercised here with
 // concurrent writers under TSan); the metrics registry's Prometheus
-// exposition is byte-deterministic with fixed log2 bucket bounds; the v4
+// exposition is byte-deterministic with fixed log2 bucket bounds; the
 // wire tails (Solve trace context, Result span block) are optional
-// suffixes, so v3 and v4 peers interoperate in both directions; and —
-// the load-bearing invariant — a solve with tracing enabled is
-// bit-identical to the same solve with tracing disabled, for every
-// registered algorithm.
+// suffixes, omitted when untraced; a client whose Hello is refused
+// fails once, without a reconnect; and — the load-bearing invariant —
+// a solve with tracing enabled is bit-identical to the same solve with
+// tracing disabled, for every registered algorithm.
 
 #include <gtest/gtest.h>
 
@@ -74,8 +74,8 @@ class ObsTestServer {
 };
 
 /// A scripted peer on a fresh Unix socket: runs `session` once per
-/// accepted connection until destroyed. Lets the compat tests stage
-/// exact legacy-server behaviors the real SolveServer no longer has.
+/// accepted connection until destroyed. Lets a test stage exact peer
+/// behaviors the real SolveServer does not have.
 class FakePeer {
  public:
   explicit FakePeer(std::function<void(server::Socket&)> session) {
@@ -329,7 +329,7 @@ TEST(WireTrace, SolveTraceTailIsAnOptionalSuffix) {
   server::encode_solve(w_traced, "mwhvc", knobs, {0xAABBu, 0xCCDDu});
   const auto plain = w_plain.take();
   const auto traced = w_traced.take();
-  EXPECT_EQ(plain, w_default.take());  // untraced == the v3 bytes
+  EXPECT_EQ(plain, w_default.take());  // untraced: no tail
   ASSERT_EQ(traced.size(), plain.size() + 16);
 
   std::string algo;
@@ -355,7 +355,7 @@ TEST(WireTrace, SolveTraceTailIsAnOptionalSuffix) {
   EXPECT_EQ(repatched.trace_id, 0xAABBu);
   EXPECT_EQ(repatched.parent_span_id, 0x1122334455667788ull);
 
-  // A v3 decode of untraced bytes leaves the context zero.
+  // Decoding untraced bytes leaves the context zero.
   server::PayloadReader r3(plain);
   server::TraceContext none;
   server::decode_solve(r3, algo, got, &none);
@@ -403,7 +403,7 @@ TEST(WireSpans, ResultSpanTailRoundTripsAndOmittedWhenEmpty) {
   server::encode_result(w2, got);
   EXPECT_EQ(w2.take(), traced);
 
-  // No spans -> no tail: the v3 decode path sees a complete payload.
+  // No spans -> no tail: the decode sees a complete payload.
   server::PayloadReader r_plain(plain);
   const server::WireResult got_plain = server::decode_result(r_plain);
   EXPECT_TRUE(r_plain.done());
@@ -436,97 +436,24 @@ TEST(WireSpans, BogusSpanCountIsAProtocolError) {
   EXPECT_THROW((void)server::decode_result(r2), server::ProtocolError);
 }
 
-// --- v3 <-> v4 interop -----------------------------------------------------
+// --- one protocol version -------------------------------------------------
 
-// Direction one: a legacy v3 client against this build's server. The
-// scripted exchange never mentions the v4 tails, and the server must
-// neither expect nor emit them.
-TEST(ObsCompat, V3ClientAgainstV4Server) {
-  ObsTestServer srv;
-  server::Socket sock = server::connect_to(srv.address());
-  server::PayloadWriter hello;
-  hello.u32(3);
-  server::write_frame(sock, server::FrameTag::kHello, hello.take());
-  server::Frame reply;
-  ASSERT_TRUE(server::read_frame(sock, reply));
-  ASSERT_EQ(reply.tag, server::FrameTag::kHelloOk);
-  {
-    server::PayloadReader r(reply.payload);
-    EXPECT_EQ(r.u32(), 3u);  // the server echoes the CLIENT's version
-  }
-
-  server::PayloadWriter submit;
-  submit.u8(0);  // inline text
-  submit.str(hg::to_text(obs_graph()));
-  server::write_frame(sock, server::FrameTag::kSubmitGraph, submit.take());
-  ASSERT_TRUE(server::read_frame(sock, reply));
-  ASSERT_EQ(reply.tag, server::FrameTag::kGraphOk);
-
-  server::PayloadWriter solve;
-  server::encode_solve(solve, "greedy", {});  // untraced = v3 bytes
-  server::write_frame(sock, server::FrameTag::kSolve, solve.take());
-  ASSERT_TRUE(server::read_frame(sock, reply));
-  ASSERT_EQ(reply.tag, server::FrameTag::kResult);
-  server::PayloadReader r(reply.payload);
-  const server::WireResult res = server::decode_result(r);
-  EXPECT_TRUE(r.done());            // no surprise suffix for a v3 peer
-  EXPECT_TRUE(res.spans.empty());   // and no span tail
-  EXPECT_FALSE(res.in_cover.empty());
-}
-
-// Direction two: this build's client against a scripted v3 server that
-// rejects the v4 Hello with Error and drops the connection — the
-// historical behavior. The client must reconnect at v3, keep tracing
-// client-local, and refuse the Metrics scrape cleanly.
-TEST(ObsCompat, V4ClientFallsBackToAV3Server) {
-  FakePeer peer([](server::Socket& s) {
+// A peer that refuses the Hello gets exactly one: the client raises the
+// refusal as RemoteError and does not reconnect at another version.
+TEST(ObsCompat, RefusedHelloThrowsWithoutReconnect) {
+  std::atomic<int> hellos{0};
+  FakePeer peer([&hellos](server::Socket& s) {
     server::Frame f;
     if (!server::read_frame(s, f) || f.tag != server::FrameTag::kHello) return;
-    server::PayloadReader hello(f.payload);
-    if (hello.u32() != 3) {
-      server::PayloadWriter err;
-      err.str("unsupported protocol version");
-      server::write_frame(s, server::FrameTag::kError, err.take());
-      return;  // drop, as a real v3 server did
-    }
-    server::PayloadWriter ok;
-    ok.u32(3);
-    server::write_frame(s, server::FrameTag::kHelloOk, ok.take());
-    while (server::read_frame(s, f)) {
-      if (f.tag != server::FrameTag::kSolve) return;
-      server::PayloadReader r(f.payload);
-      std::string algo;
-      server::SolveKnobs knobs;
-      server::TraceContext trace;
-      server::decode_solve(r, algo, knobs, &trace);
-      EXPECT_EQ(trace.trace_id, 0u);  // the client must omit the tail
-      EXPECT_TRUE(r.done());
-      server::WireResult res;
-      res.algorithm = algo;
-      res.completed = true;
-      res.in_cover = {true};
-      res.duals = {0.0};
-      server::PayloadWriter w;
-      server::encode_result(w, res);
-      server::write_frame(s, server::FrameTag::kResult, w.take());
-    }
+    hellos.fetch_add(1);
+    server::PayloadWriter err;
+    err.str("protocol version unsupported");
+    server::write_frame(s, server::FrameTag::kError, err.take());
   });
 
   server::Client c;
-  c.connect(peer.address());
-  EXPECT_EQ(c.version(), 3u);
-  EXPECT_THROW((void)c.metrics_text(), server::RemoteError);
-
-  c.set_tracing(true);
-  const server::WireResult res = c.solve("greedy");
-  EXPECT_EQ(res.algorithm, "greedy");
-  // Tracing stayed client-local: the stitched spans are exactly the
-  // client's own (the root, recorded despite the v3 downgrade).
-  ASSERT_FALSE(res.spans.empty());
-  for (const obs::SpanRecord& sp : res.spans) {
-    EXPECT_EQ(sp.proc, static_cast<std::uint8_t>(obs::Proc::kClient));
-  }
-  EXPECT_STREQ(res.spans.front().name, "client.solve");
+  EXPECT_THROW(c.connect(peer.address()), server::RemoteError);
+  EXPECT_EQ(hellos.load(), 1);
 }
 
 // --- busy-retry stats ------------------------------------------------------
@@ -585,7 +512,6 @@ TEST(ObsClient, BusyRetryWorkSurfacesInResultAndMetrics) {
 TEST(ObsServe, TracedSolveShipsOneStitchedSpanTree) {
   ObsTestServer srv;
   server::Client c = srv.client();
-  ASSERT_EQ(c.version(), server::kProtocolVersion);
   c.set_tracing(true);
   (void)c.submit_graph_text(hg::to_text(obs_graph()));
   const server::WireResult res = c.solve("mwhvc");

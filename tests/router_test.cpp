@@ -534,6 +534,21 @@ TEST(Router, ProtocolErrorsMatchTheScrapedCounter) {
   EXPECT_EQ(b0.server().stats().protocol_errors, 0u);
 }
 
+// A failed stats probe is one backend failure on both surfaces: the
+// BackendSnapshot and the scraped per-backend series.
+TEST(Router, FailedStatsProbeCountsOneBackendFailure) {
+  namespace ts = testing_sessions;
+  const std::string dead = unique_addr("dead");  // nobody listens here
+  TestRouter rt({dead});
+  (void)rt.router().fleet_stats();
+  EXPECT_EQ(rt.router().backend_snapshots()[0].failures, 1u);
+  server::Client client = rt.client();
+  EXPECT_EQ(ts::scraped_counter(
+                client.metrics_text(),
+                "hc_router_backend_failures_total{backend=\"" + dead + "\"}"),
+            1u);
+}
+
 // --- router: fault injection ------------------------------------------------
 
 TEST(Router, RetryOnKilledBackendIsBitIdentical) {
