@@ -114,11 +114,10 @@ inline Metrics run_kvy(const hg::Hypergraph& g, double eps) {
 
 /// Attaches the engine's activity counters to a benchmark point so the
 /// JSON export (scripts/bench_json.py -> BENCH_engine.json) records the
-/// scheduler's work — items visited, slots touched, sparse vs dense
+/// scheduler's work — agent steps, slots touched, sparse vs dense
 /// accounting passes — alongside the wall-clock numbers.
 inline void set_activity_counters(benchmark::State& state,
                                   const congest::RunStats& net) {
-  state.counters["agents_visited"] = static_cast<double>(net.agents_visited);
   state.counters["agent_steps"] = static_cast<double>(net.agent_steps);
   state.counters["slots_processed"] = static_cast<double>(net.slots_processed);
   state.counters["sparse_passes"] =

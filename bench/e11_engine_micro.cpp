@@ -5,9 +5,9 @@
 // visible independently of the algorithmic experiments.
 //
 // The *DigestGuard* benches double as correctness checks: every timed run
-// is compared against the reference (dense-scheduling, sequential)
-// transcript hash and aborts on drift, so the activity-driven engine can
-// never silently change protocol semantics while looking fast.
+// is compared against a reference transcript hash (pinned, or the
+// sequential solve's) and aborts on drift, so the engine can never
+// silently change protocol semantics while looking fast.
 
 #include "bench/common.hpp"
 #include "hypergraph/generators.hpp"
@@ -153,69 +153,70 @@ BENCHMARK(BM_EngineParallelSolve)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Full-solve A/B of the scheduling modes with a digest guard: range(1)
-// selects kDense (0, the pre-frontier reference path) or kActive (1).
-// Both must produce the reference transcript hash.
+/// Transcript hash of the e11 instance random_uniform(n, 3n, 3, 2^16, 7)
+/// under MWHVC at eps = 0.5, as pinned when each size was added (the
+/// same hashes the retired dense reference sweep produced).
+std::uint64_t reference_digest(std::uint32_t n) {
+  switch (n) {
+    case 10000:
+      return 0xd2937577f2094278ull;
+    case 100000:
+      return 0xad33ba4bde5c0daaull;
+  }
+  throw std::invalid_argument("no pinned e11 digest for this n");
+}
+
+// Full MWHVC solve, guarded by the pinned transcript hash. The trailing
+// /1 in the point names is the frontier engine's index from when a dense
+// reference path (/0) ran beside it; it stays so the points keep
+// matching earlier records, whose step_cycles bench_json.py gates on.
 void BM_SchedulingDigestGuard(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  const bool active = state.range(1) != 0;
   const auto g =
       hg::random_uniform(n, 3 * n, 3, hg::exponential_weights(16), 7);
   core::MwhvcOptions opts;
   opts.eps = 0.5;
-  opts.engine.scheduling = congest::Scheduling::kDense;
-  const std::uint64_t want_digest =
-      core::solve_mwhvc(g, opts).net.transcript_hash;
-  opts.engine.scheduling =
-      active ? congest::Scheduling::kActive : congest::Scheduling::kDense;
+  const std::uint64_t want_digest = reference_digest(n);
   core::MwhvcResult last;
   for (auto _ : state) {
     last = core::solve_mwhvc(g, opts);
     if (last.net.transcript_hash != want_digest) {
-      throw std::runtime_error(
-          "scheduling mode diverged from the reference digest");
+      throw std::runtime_error("solve diverged from the reference digest");
     }
   }
-  state.counters["active"] = active;
   state.counters["rounds"] = last.net.rounds;
   bench::set_activity_counters(state, last.net);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(last.net.total_messages));
 }
 BENCHMARK(BM_SchedulingDigestGuard)
-    ->Args({10000, 0})
     ->Args({10000, 1})
-    ->Args({100000, 0})
     ->Args({100000, 1})
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
 // Sparse-regime tail: advance a solve (untimed) until >90% of the agents
-// have halted, then time only the remaining rounds. Under kDense every
-// tail round still sweeps all agents and scans and wipes every presence
-// line; under kActive it touches only the live frontier and the presence
-// lines its sends marked (64 slots each). The acceptance bar for the
-// frontier engine is >= 5x fewer items per tail round at the 100k-vertex
-// instance. On a 4-CPU host that instance measures about 275k items per
-// active tail round against 4.0M dense (14.6x; the earlier dirty-slot
-// lists counted single slots and measured 18.2k), and the active tail
-// runs in 25-26 ms against 32-34 ms with the dirty lists. Manual timing;
+// have halted, then time only the remaining rounds. A tail round steps
+// only the acting side's live agents and touches only the presence lines
+// its sends marked (64 slots each); items_per_round counts those agent
+// steps plus the presence slots accounted and wiped. bench_json.py gates
+// it at >= 5x below a full sweep, agents + 4 * links items per round:
+// every agent stepped, and every presence slot of both directions
+// accounted and wiped, as the retired dense reference path measured it
+// (400k at n = 10k, 4.0M at n = 100k). The trailing /1 in the point
+// names stays for the same reason as above. Manual timing;
 // digest-guarded end to end.
 void BM_SparseTailRoundsDigestGuard(benchmark::State& state) {
   const auto n = static_cast<std::uint32_t>(state.range(0));
-  const bool active = state.range(1) != 0;
   const auto g =
       hg::random_uniform(n, 3 * n, 3, hg::exponential_weights(16), 7);
   const std::size_t agents = std::size_t{g.num_vertices()} + g.num_edges();
   core::MwhvcOptions opts;
   opts.eps = 0.5;
 
-  // Find the tail via an active-scheduling dry run: the round where live
-  // agents first drop below 10%, and the reference digest. The halting
-  // schedule is mode-independent (transcripts are bit-identical), so the
-  // same tail start is valid for the dense run.
+  // Find the tail via a dry run: the round where live agents first drop
+  // below 10%.
   std::uint32_t tail_start = 0, total_rounds = 0;
-  std::uint64_t want_digest = 0;
   {
     core::MwhvcRun probe(g, opts);
     while (!probe.done() && probe.rounds() < opts.engine.max_rounds) {
@@ -225,21 +226,19 @@ void BM_SparseTailRoundsDigestGuard(benchmark::State& state) {
       }
     }
     total_rounds = probe.rounds();
-    want_digest = probe.stats().transcript_hash;
     if (tail_start == 0 || tail_start + 2 > total_rounds) {
       tail_start = total_rounds > 4 ? total_rounds - 4 : 0;
     }
   }
 
-  opts.engine.scheduling =
-      active ? congest::Scheduling::kActive : congest::Scheduling::kDense;
+  const std::uint64_t want_digest = reference_digest(n);
   double tail_rounds = 0, tail_items = 0, tail_steps = 0;
   for (auto _ : state) {
     core::MwhvcRun run(g, opts);
     for (std::uint32_t r = 0; r < tail_start; ++r) run.step_round();
     const auto& pre = run.stats();
     const double items_before =
-        static_cast<double>(pre.agents_visited + pre.slots_processed);
+        static_cast<double>(pre.agent_steps + pre.slots_processed);
     const double steps_before = static_cast<double>(pre.agent_steps);
     const auto t0 = std::chrono::steady_clock::now();
     while (!run.done() && run.rounds() < opts.engine.max_rounds) {
@@ -251,26 +250,24 @@ void BM_SparseTailRoundsDigestGuard(benchmark::State& state) {
       throw std::runtime_error("tail run diverged from the reference digest");
     }
     tail_rounds = run.rounds() - tail_start;
-    tail_items = static_cast<double>(post.agents_visited +
-                                     post.slots_processed) -
-                 items_before;
+    tail_items =
+        static_cast<double>(post.agent_steps + post.slots_processed) -
+        items_before;
     tail_steps = static_cast<double>(post.agent_steps) - steps_before;
     state.SetIterationTime(std::chrono::duration<double>(t1 - t0).count());
   }
-  state.counters["active"] = active;
   state.counters["tail_rounds"] = tail_rounds;
   state.counters["items_per_round"] =
       tail_rounds > 0 ? tail_items / tail_rounds : 0;
   state.counters["steps_per_round"] =
       tail_rounds > 0 ? tail_steps / tail_rounds : 0;
+  state.counters["agents"] = static_cast<double>(agents);
   state.counters["links"] = static_cast<double>(g.num_incidences());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(tail_items));
 }
 BENCHMARK(BM_SparseTailRoundsDigestGuard)
-    ->Args({10000, 0})
     ->Args({10000, 1})
-    ->Args({100000, 0})
     ->Args({100000, 1})
     ->Unit(benchmark::kMicrosecond)
     ->UseManualTime();

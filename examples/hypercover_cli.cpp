@@ -4,7 +4,7 @@
 //
 //   ./hypercover_cli --input=instance.hg [--algo=<name>] [--list-algos]
 //       [--eps=0.5] [--appendix-c] [--alpha=<fixed>] [--threads=1]
-//       [--dense] [--f-approx] [--max-rounds=N]
+//       [--f-approx] [--max-rounds=N]
 //       [--quiet] [--cover-only] [--stats-json[=path]] [--binary]
 //   ./hypercover_cli --input=instance.hg --convert=instance.hgb
 //   ./hypercover_cli --batch=manifest.txt [--threads=N] [--algo=<default>]
@@ -67,14 +67,13 @@
 // then a throughput total to stderr. Exit 2 if any job fails verification.
 //
 // --threads=N steps agents on N workers (0 = one per hardware thread);
-// the run is bit-identical at any value. --dense forces the reference
-// dense engine schedule (for A/B comparisons; also bit-identical).
+// the run is bit-identical at any value.
 // --stats-json dumps a machine-readable record (algorithm, RunStats,
 // transcript hash, engine work counters, verification certificate, wall
 // time) to stdout, or to a file when given a path — the scripted
 // perf-tracking hook (scripts/bench_json.py --solve-json folds it into
-// the perf trajectory). A served record omits "threads" and "scheduling":
-// those are local-engine knobs the server never receives.
+// the perf trajectory). A served record omits "threads": that is a
+// local-engine knob the server never receives.
 //
 // Exit code 0 on success (cover verified), 2 on verification failure,
 // 1 on usage/input errors. The stats record is emitted even when
@@ -142,7 +141,7 @@ enum class Served { kLocal, kCold, kCacheHit };
 /// integer precision. `solve_digest` is util::solve_digest — the same
 /// key the server cache uses.
 std::string stats_json(const api::Solution& sol, std::uint32_t threads,
-                       bool dense, std::size_t cover_size,
+                       std::size_t cover_size,
                        std::uint64_t solve_digest, Served served,
                        std::uint32_t busy_retries,
                        std::uint64_t busy_backoff_ms) {
@@ -153,7 +152,6 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
   os << "  \"algo\": \"" << json_escape(sol.algorithm) << "\",\n";
   if (served == Served::kLocal) {
     os << "  \"threads\": " << threads << ",\n";
-    os << "  \"scheduling\": \"" << (dense ? "dense" : "active") << "\",\n";
   }
   os << "  \"rounds\": " << net.rounds << ",\n";
   os << "  \"completed\": " << (net.completed ? "true" : "false") << ",\n";
@@ -174,7 +172,6 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
     os << "  \"busy_retries\": " << busy_retries << ",\n";
     os << "  \"busy_backoff_ms\": " << busy_backoff_ms << ",\n";
   }
-  os << "  \"agents_visited\": " << net.agents_visited << ",\n";
   os << "  \"agent_steps\": " << net.agent_steps << ",\n";
   os << "  \"slots_processed\": " << net.slots_processed << ",\n";
   os << "  \"sparse_account_passes\": " << net.sparse_account_passes << ",\n";
@@ -212,7 +209,6 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
 struct CommonKnobs {
   api::SolveRequest req;
   std::uint32_t threads = 1;
-  bool dense = false;
 };
 
 /// Parses the shared flags into `k`; returns a nonzero exit code (after
@@ -225,12 +221,9 @@ int parse_knobs(const util::Cli& cli, CommonKnobs& k) {
     return 1;
   }
   k.threads = static_cast<std::uint32_t>(threads_arg);
-  k.dense = cli.has("dense");
   k.req.eps = cli.get("eps", 0.5);
   k.req.f_approx = cli.has("f-approx");
   k.req.engine.threads = k.threads;
-  k.req.engine.scheduling =
-      k.dense ? congest::Scheduling::kDense : congest::Scheduling::kActive;
   if (cli.has("max-rounds")) {
     const std::int64_t max_rounds =
         cli.get("max-rounds", std::int64_t{1} << 20);
@@ -269,8 +262,8 @@ int emit_solution(const util::Cli& cli, const hg::Hypergraph& g,
   bool json_on_stdout = false;
   if (cli.has("stats-json")) {
     const std::string json =
-        stats_json(sol, knobs.threads, knobs.dense, cover_size, solve_digest,
-                   served, busy_retries, busy_backoff_ms);
+        stats_json(sol, knobs.threads, cover_size, solve_digest, served,
+                   busy_retries, busy_backoff_ms);
     const std::string out_path = cli.get("stats-json", std::string("-"));
     // A bare --stats-json (no =path) parses as "1": dump to stdout, and
     // suppress the human-readable block below so stdout stays parseable
@@ -395,8 +388,8 @@ int run_connect(const util::Cli& cli, const CommonKnobs& knobs) {
   const hg::Hypergraph g =
       binary ? hg::read_binary(raw_bytes) : hg::from_text(raw);
   if (!quiet) std::cerr << "instance: " << hg::compute_stats(g) << "\n";
-  if (cli.has("threads") || knobs.dense) {
-    std::cerr << "note: --threads/--dense are local-engine knobs; "
+  if (cli.has("threads")) {
+    std::cerr << "note: --threads is a local-engine knob; "
                  "the server's own pool configuration applies\n";
   }
 
@@ -685,7 +678,6 @@ int run(const util::Cli& cli) {
   if (!quiet) std::cerr << "instance: " << hg::compute_stats(g) << "\n";
 
   const std::uint32_t threads = knobs.threads;
-  const bool dense = knobs.dense;
   if (!solver->steppable && cli.has("threads") && threads != 1) {
     std::cerr << "note: --threads ignored by the sequential " << algo
               << " solver\n";

@@ -3,9 +3,9 @@
 
 Runs the engine micro-benchmark binary with --benchmark_format=json and
 appends a labelled run record to BENCH_engine.json, keeping earlier runs so
-the file is a perf *trajectory*: the dense-scheduling points (benchmark
-names ending in /0) exercise the pre-frontier reference engine and serve
-as the baseline the activity-driven points (/1) must beat.
+the file is a perf *trajectory*. The e11 points keep their /1 suffix from
+when a dense reference path ran beside them as /0; earlier records still
+hold those /0 points.
 
 End-to-end solve records from `hypercover_cli --stats-json=<file>` can be
 folded into the same run record with --solve-json (repeatable). The solve
@@ -49,12 +49,11 @@ def run_bench(bench, bench_filter, min_time):
 # names the registry algorithm; "certificate" is the verification object
 # (valid / cover_valid / packing_feasible / error).
 SOLVE_FIELDS = (
-    "algo", "threads", "scheduling", "rounds", "completed",
+    "algo", "threads", "rounds", "completed",
     "total_messages", "total_bits", "max_message_bits",
     "bandwidth_limit_bits", "bandwidth_violations", "transcript_hash",
     "solve_digest", "served", "cache_hit",
-    "agents_visited", "agent_steps", "slots_processed",
-    "sparse_account_passes", "dense_account_passes", "clear_slots",
+    "agent_steps", "slots_processed", "sparse_account_passes", "dense_account_passes", "clear_slots",
     "sparse_clear_passes", "dense_clear_passes",
     "step_cycles", "account_cycles", "cycles_per_agent_step", "cover_weight",
     "cover_size", "dual_total", "certified_ratio", "certificate",
@@ -92,7 +91,7 @@ def summarize(raw):
         for key, value in b.items():
             if key in ("items_per_second", "bytes_per_second", "active",
                        "rounds", "threads", "tail_rounds", "items_per_round",
-                       "steps_per_round", "links", "agents_visited",
+                       "steps_per_round", "links", "agents",
                        "agent_steps", "slots_processed", "sparse_passes",
                        "dense_passes", "batch", "concurrency", "p50_ms",
                        "p99_ms", "p999_ms", "offered_rps", "achieved_rps",
@@ -140,6 +139,25 @@ def parse_vs_map_times(record):
     return loads
 
 
+# e11: a sparse tail round must touch at least this many times fewer items
+# (agent steps + presence slots) than a full sweep.
+SPARSE_TAIL_MIN = 5.0
+
+
+def full_sweep_items(agents, links):
+    """Items one full-sweep round touches: every agent stepped, and every
+    presence slot of both directions accounted and wiped (4 per link).
+    This is what the retired dense reference path measured as its /0
+    items_per_round: 400000 at n = 10k (40000 agents, 90000 links) and
+    4000000 at n = 100k."""
+    return agents + 4 * links
+
+
+# e11: a full solve may spend at most this much more step_cycles than the
+# same point in the previous recorded run (multi-CPU hosts).
+STEP_CYCLES_DRIFT_MAX = 1.15
+
+
 def check_gates(run_record, prior_runs=(), out=sys.stderr):
     """Apply every perf gate to one run record; returns True when clean.
 
@@ -150,26 +168,28 @@ def check_gates(run_record, prior_runs=(), out=sys.stderr):
     ok = True
     num_cpus = run_record.get("host", {}).get("num_cpus") or 1
 
-    # Gate: on any SparseTail pair present in this run, active must process
-    # >= 5x fewer items per round than dense. A failure exits non-zero so
-    # CI or a pre-merge hook can catch a frontier regression.
-    tails = {}
+    # Gate: every SparseTail point (BM_SparseTailRounds.../<n>/1/
+    # manual_time) must process >= 5x fewer items per tail round than a
+    # full sweep. A failure exits non-zero so CI or a pre-merge hook can
+    # catch a frontier regression.
     for p in run_record["benchmarks"]:
-        # Names look like BM_SparseTailRounds.../100000/1/manual_time.
         parts = p["name"].split("/")
-        if "SparseTail" in parts[0] and len(parts) >= 3 \
-                and "items_per_round" in p:
-            tails.setdefault((parts[0], parts[1]), {})[parts[2]] = \
-                p["items_per_round"]
-    for (base, instance), modes in sorted(tails.items()):
-        dense, active = modes.get("0"), modes.get("1")
-        if dense is None or active is None or active <= 0:
+        if "SparseTail" not in parts[0] or len(parts) < 3 \
+                or parts[2] != "1" or "items_per_round" not in p:
             continue
-        ratio = dense / active
-        status = "ok" if ratio >= 5.0 else "REGRESSION"
-        print(f"{base}/{instance}: dense {dense:.0f} vs active {active:.0f} "
+        label = f"{parts[0]}/{parts[1]}"
+        if p.get("agents") is None or p.get("links") is None:
+            print(f"{label}: agents/links counters missing, no full-sweep "
+                  f"count to gate against REGRESSION", file=out)
+            ok = False
+            continue
+        full = full_sweep_items(p["agents"], p["links"])
+        active = p["items_per_round"]
+        ratio = full / max(active, 1e-9)
+        status = "ok" if ratio >= SPARSE_TAIL_MIN else "REGRESSION"
+        print(f"{label}: full sweep {full:.0f} vs active {active:.0f} "
               f"items/round ({ratio:.1f}x) {status}", file=out)
-        ok = ok and ratio >= 5.0
+        ok = ok and ratio >= SPARSE_TAIL_MIN
 
     # Gate: BatchScheduler throughput vs the sequential loop, in jobs/s.
     # Names look like BM_BatchThroughputDigestGuard/64/1/real_time; mode 0
@@ -273,30 +293,34 @@ def check_gates(run_record, prior_runs=(), out=sys.stderr):
                   f"{base:.2f} ms ({drift:.2f}x) {status}", file=out)
             ok = ok and good
 
-    # Gate: engine cycles-per-agent-step drift (e11). The active-
-    # scheduling end-to-end points (BM_SchedulingDigestGuard/<n>/1/
-    # real_time) must not regress > 15% against the previous recorded
-    # run's same-named point (multi-CPU hosts only; raw cycle counts are
-    # too noisy to gate on 1 CPU).
+    # Gate: engine step-cycles drift (e11). The full-solve points
+    # (BM_SchedulingDigestGuard/<n>/1/real_time) must not spend > 15% more
+    # step_cycles per solve than the previous recorded run's same-named
+    # point (multi-CPU hosts only; raw cycle counts are too noisy to gate
+    # on 1 CPU). The gate is per solve, not per agent step: agent_steps of
+    # each point was constant across the earlier records (527140 at
+    # n = 10k), so on them the two gates agree, while a round that steps
+    # only its acting side halves agent_steps and would double
+    # cycles_per_step with no slowdown.
     if num_cpus >= 2:
         prior = {}
         for old_run in prior_runs:
             for p in old_run.get("benchmarks", []):
                 if "SchedulingDigestGuard" in p.get("name", "") \
-                        and p.get("cycles_per_step"):
-                    prior[p["name"]] = p["cycles_per_step"]
+                        and p.get("step_cycles"):
+                    prior[p["name"]] = p["step_cycles"]
         for p in run_record["benchmarks"]:
             parts = p["name"].split("/")
             if "SchedulingDigestGuard" not in parts[0] or len(parts) < 3 \
-                    or parts[2] != "1" or not p.get("cycles_per_step"):
+                    or parts[2] != "1" or not p.get("step_cycles"):
                 continue
             base = prior.get(p["name"])
             if not base:
                 continue
-            drift = p["cycles_per_step"] / base
-            good = drift <= 1.15
+            drift = p["step_cycles"] / base
+            good = drift <= STEP_CYCLES_DRIFT_MAX
             status = "ok" if good else "REGRESSION"
-            print(f"{p['name']}: cycles/step {p['cycles_per_step']:.0f} vs "
+            print(f"{p['name']}: step cycles/solve {p['step_cycles']:.0f} vs "
                   f"prior {base:.0f} ({drift:.2f}x) {status}",
                   file=out)
             ok = ok and good
@@ -417,10 +441,10 @@ def main():
             print(f"warning: {out} was not valid JSON; starting fresh",
                   file=sys.stderr)
     doc["note"] = (
-        "Engine perf trajectory. Benchmarks named .../0 run the dense "
-        "reference schedule (pre-frontier baseline); .../1 run the "
-        "activity-driven engine. items_per_round on the SparseTail benches "
-        "is the acceptance metric: active must stay >= 5x below dense. "
+        "Engine perf trajectory. items_per_round on the SparseTail benches "
+        "is the acceptance metric: it must stay >= 5x below a full sweep, "
+        "agents + 4 x links per round (what the dense reference path, "
+        "retired since, measured as the .../0 points of earlier runs). "
         "BatchThroughput benches compare the sequential solve loop (/0) "
         "with the shared-pool BatchScheduler (/1) in jobs per second; the "
         "scheduler must reach >= 1.5x at batch 64 on multi-core hosts. "
@@ -433,8 +457,8 @@ def main():
         "mmap must load the largest instance >= 2.5x faster (report-only "
         "on 1-CPU hosts), comparing medians over the bench's repetitions, "
         "and that mapped load must not be > 1.5x slower than in the newest "
-        "prior multi-CPU record (multi-core hosts). The active SchedulingDigestGuard points' "
-        "cycles_per_step must not regress > 15% against the previous "
+        "prior multi-CPU record (multi-core hosts). The SchedulingDigestGuard points' "
+        "step_cycles per solve must not regress > 15% against the previous "
         "recorded run (multi-core hosts). RouterLoad benches drive the sharding router over "
         "a forked 3-backend fleet with open-loop Poisson arrivals, every "
         "response digest-guarded; the steady-state p99 must stay under "
@@ -488,9 +512,13 @@ def self_test():
         return check_gates(_record(points, num_cpus), prior_runs,
                            out=io.StringIO())
 
-    def tail(mode, ipr):
-        return {"name": f"BM_SparseTailRounds/100000/{mode}/manual_time",
-                "items_per_round": ipr}
+    def tail(ipr, n=100000, counters=True):
+        p = {"name": f"BM_SparseTailRoundsDigestGuard/{n}/1/manual_time",
+             "items_per_round": ipr}
+        if counters:
+            p["agents"] = 4 * n
+            p["links"] = 9 * n
+        return p
 
     def batch(mode, jps, threads=4, size=64):
         return {"name": f"BM_BatchThroughputDigestGuard/{size}/{mode}",
@@ -511,10 +539,11 @@ def self_test():
         return {"name": f"BM_ParseVsMapDigestGuard/{n}/{mode}",
                 "real_time": ms, "time_unit": "ms"}
 
-    def sched(mode, cycles, n=100000):
-        return {"name": f"BM_SchedulingDigestGuard/{n}/{mode}/real_time",
-                "real_time": 100.0, "time_unit": "ms",
-                "cycles_per_step": cycles}
+    def sched(step_cycles, agent_steps=527140, n=10000):
+        return {"name": f"BM_SchedulingDigestGuard/{n}/1/real_time",
+                "real_time": 30.0, "time_unit": "ms",
+                "step_cycles": step_cycles, "agent_steps": agent_steps,
+                "cycles_per_step": step_cycles / agent_steps}
 
     def router(p99, rps=40.0, hist=True, hist_p50=None, hist_p99=None):
         p = {"name": f"BM_RouterLoadDigestGuard/{rps:.0f}/real_time",
@@ -533,10 +562,19 @@ def self_test():
                 "backend_failures": retries}
 
     cases = [
-        ("sparse_tail 10x passes", True,
-         lambda: gates([tail(0, 1000.0), tail(1, 100.0)])),
-        ("sparse_tail 2x fails", False,
-         lambda: gates([tail(0, 1000.0), tail(1, 500.0)])),
+        ("sparse_tail full sweep equals the measured dense points", True,
+         lambda: full_sweep_items(40000, 90000) == 400000
+         and full_sweep_items(400000, 900000) == 4000000),
+        ("sparse_tail 15x below the full sweep passes", True,
+         lambda: gates([tail(275000.0), tail(27500.0, n=10000)])),
+        ("sparse_tail 5x below the full sweep passes", True,
+         lambda: gates([tail(800000.0)])),
+        ("sparse_tail 2x below the full sweep fails", False,
+         lambda: gates([tail(2000000.0)])),
+        ("sparse_tail gates every instance", False,
+         lambda: gates([tail(275000.0), tail(200000.0, n=10000)])),
+        ("sparse_tail point without agents/links fails", False,
+         lambda: gates([tail(100.0, counters=False)])),
         ("batch 2x at 64 passes", True,
          lambda: gates([batch(0, 100.0), batch(1, 200.0)])),
         ("batch 1.2x at 64 fails", False,
@@ -585,12 +623,22 @@ def self_test():
         ("parse_vs_map map drift not checked on 1 cpu", True,
          lambda: gates([load(0, 96.0), load(1, 16.0)], num_cpus=1,
                        prior_runs=[_record([load(1, 10.0)])])),
-        ("engine cycle drift 1.10x vs prior passes", True,
-         lambda: gates([sched(0, 500.0), sched(1, 110.0)],
-                       prior_runs=[_record([sched(1, 100.0)])])),
-        ("engine cycle drift 1.20x vs prior fails", False,
-         lambda: gates([sched(0, 500.0), sched(1, 120.0)],
-                       prior_runs=[_record([sched(1, 100.0)])])),
+        ("engine step-cycle drift 1.10x vs prior passes", True,
+         lambda: gates([sched(55.0e6)],
+                       prior_runs=[_record([sched(50.0e6)])])),
+        ("engine step-cycle drift 1.20x vs prior fails", False,
+         lambda: gates([sched(60.0e6)],
+                       prior_runs=[_record([sched(50.0e6)])])),
+        ("engine step-cycle drift ignores halved agent_steps", True,
+         lambda: gates([sched(50.0e6, agent_steps=263570)],
+                       prior_runs=[_record([sched(53.6e6)], num_cpus=1)])),
+        ("engine step-cycle drift vs the newest prior only", False,
+         lambda: gates([sched(60.0e6)],
+                       prior_runs=[_record([sched(80.0e6)]),
+                                   _record([sched(50.0e6)])])),
+        ("engine step-cycle drift not checked on 1 cpu", True,
+         lambda: gates([sched(90.0e6)], num_cpus=1,
+                       prior_runs=[_record([sched(50.0e6)])])),
         ("router p99 under SLO passes", True,
          lambda: gates([router(120.0)])),
         ("router p99 over SLO fails", False,

@@ -2,7 +2,7 @@
 """Determinism lint: reject nondeterminism sources in transcript-affecting code.
 
 The repo's load-bearing invariant is that transcripts and solve digests
-are bit-identical across thread counts, scheduling modes, and
+are bit-identical across thread counts and
 ingestion paths. This lint makes the *sources* of
 nondeterminism mechanically checkable instead of relying on reviewer
 vigilance: it walks the C++ translation units under src/ and reports any

@@ -36,7 +36,7 @@ struct SolveRequest {
   bool f_approx = false;
   /// Rank bound override; 0 means "use the instance rank".
   std::uint32_t f_override = 0;
-  /// Engine configuration (threads, scheduling, max_rounds, ...). Setting
+  /// Engine configuration (threads, max_rounds, ...). Setting
   /// `engine.pool` lends a caller-owned congest::ThreadPool to the run's
   /// engine (external-pool mode): successive solves reuse one warm pool
   /// instead of spawning threads per call. api::BatchScheduler manages

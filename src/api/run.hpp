@@ -7,7 +7,7 @@
 // `baselines::KvyRun` implement it; the one-shot `solve_*` entry points
 // are thin `drive()` loops over the corresponding run, so a stepped run
 // is bit-identical to a one-shot solve (same transcript hash, duals,
-// cover) at every thread count and scheduling mode.
+// cover) at every thread count.
 //
 // `drive()` adds the run-level conveniences the lock-step tests, the
 // registry, and long-running callers share: a per-round observer,

@@ -71,7 +71,6 @@ struct KmwVertexAgent {
   template <class Ctx>
   void step(Ctx& ctx) {
     const std::uint32_t r = ctx.round();
-    if (r % 2 == 1) return;  // edge rounds
     if (r == 0 && degree == 0) {
       halted_flag = true;
       return;
@@ -127,8 +126,6 @@ struct KmwEdgeAgent {
 
   template <class Ctx>
   void step(Ctx& ctx) {
-    const std::uint32_t r = ctx.round();
-    if (r % 2 == 0) return;  // vertex rounds
     bool covered_now = false;
     const auto in = ctx.inbox();
     for (std::uint32_t j = 0; j < size; ++j) {

@@ -81,9 +81,7 @@ struct KvyVertexAgent {
 
   template <class Ctx>
   void step(Ctx& ctx) {
-    const std::uint32_t r = ctx.round();
-    if (r % 2 == 1) return;  // edge rounds
-    if (r == 0) {
+    if (ctx.round() == 0) {
       if (active.empty()) {
         halted_flag = true;
         return;
@@ -143,8 +141,6 @@ struct KvyEdgeAgent {
 
   template <class Ctx>
   void step(Ctx& ctx) {
-    const std::uint32_t r = ctx.round();
-    if (r % 2 == 0) return;  // vertex rounds
     bool covered_now = false;
     double best = 0;
     std::uint32_t best_d = 1;

@@ -40,7 +40,7 @@ struct KvyOptions {
 /// configured CONGEST engine, exposed round by round through
 /// api::ProtocolRun. solve_kvy() is a thin api::drive() loop over this
 /// class; a stepped run is bit-identical to the one-shot solve at every
-/// thread count and scheduling mode.
+/// thread count.
 ///
 /// The graph must outlive the run. After finish() / finish_result() the
 /// run is exhausted and must not be stepped again.

@@ -3,10 +3,13 @@
 //
 // The network has one node per hypergraph vertex ("server") and one node
 // per hyperedge ("client"); there is a link {v, e} iff v ∈ e. Execution
-// proceeds in synchronous rounds: every non-halted node reads the messages
-// sent to it in the previous round, updates local state, and sends at most
-// one message per incident link. Message sizes are accounted in bits and
-// checked against the CONGEST bound.
+// proceeds in synchronous rounds, and the two sides alternate, as in the
+// schedule of Appendix B: in round r only the vertex agents act when r is
+// even, and only the edge agents when r is odd. An acting agent reads the
+// messages the other side sent it in round r - 1, updates local state,
+// and sends at most one message per incident link, read in round r + 1.
+// Message sizes are accounted in bits and checked against the CONGEST
+// bound.
 //
 // The engine is a template over a Protocol type:
 //
@@ -15,59 +18,63 @@
 //                              // with  std::uint32_t bit_size() const
 //     using EdgeMsg = ...;     // edge -> vertex payload, same requirements
 //     struct VertexAgent {     // one per hypergraph vertex
-//       template <class Ctx> void step(Ctx& ctx);
+//       template <class Ctx> void step(Ctx& ctx);  // even rounds only
 //       bool halted() const;
 //     };
 //     struct EdgeAgent {       // one per hyperedge
-//       template <class Ctx> void step(Ctx& ctx);
+//       template <class Ctx> void step(Ctx& ctx);  // odd rounds only
 //       bool halted() const;
 //     };
 //   };
+//
+// Alternation is part of this contract, not a protocol option: the idle
+// side is never stepped, so an agent needs no parity check of its own.
 //
 // Determinism: message buffers are flat per-link slots written by exactly
 // one sender per round, agents only mutate their own state, and message
 // accounting (bit totals + transcript hash) runs in a single deterministic
 // slot-order pass after all agents of a round have stepped. A protocol run
 // is therefore a pure function of (hypergraph, agent construction) — with
-// any Options::threads value and either Options::scheduling mode.
+// any Options::threads value.
 //
-// Mailbox layout: each direction's mailboxes are a payload lane and a
-// uint8 presence lane over the receiver-side CSR, double-buffered. All
-// eight lanes live in one allocation per engine, each 64-byte aligned.
-// Only the presence lanes are zeroed; the payload lanes start
+// Mailbox layout: one mailbox per direction, each a payload lane and a
+// uint8 presence lane over the receiver-side CSR, so four lanes live in
+// one allocation per engine, each 64-byte aligned. One buffer per
+// direction is enough because no direction is written and read in the
+// same round. Only the presence lanes are zeroed; the payload lanes start
 // uninitialized (poisoned in debug builds), because no payload is read
 // unless its presence byte is nonzero. A send stores the payload and
 // writes its bit size into the presence byte (1..254 exact, 255 =
 // "present, reread the payload"), so a present slot is any nonzero byte.
-// Under kActive each shard also marks the 64-slot presence lines it
-// writes in a small per-direction bitmap; under kDense every line counts
-// as marked. Accounting walks the marked lines in ascending order
-// and the nonzero bytes of each line in ascending order, reading bit sizes
-// from the lane; retiring a buffer memsets the same lines.
+// Each shard marks the 64-slot presence lines it writes in a small
+// bitmap. After round r the engine accounts the direction written in r:
+// it walks the marked lines in ascending order and the nonzero bytes of
+// each line in ascending order, reading bit sizes from the lane. It then
+// retires the direction read in r by wiping its marked lines, so that
+// direction is empty again when its senders act in round r + 1.
 //
-// Activity-driven execution (Options::scheduling == kActive, the default):
-// protocols in this codebase halt agents progressively — covered edges and
-// tight vertices drop out within a few iterations — so the engine keeps
-// per-shard worklists of live agents, compacted in place (preserving
-// ascending id order) whenever an agent halts, and steps only the
-// worklists. Accounting and retirement then touch only the lines that
-// carried a message, so a sparse round costs O(live agents + lines hit).
-// Quiescence is a live-agent counter maintained at worklist compaction —
-// O(1) per round instead of an O(n + m) scan.
+// Activity-driven execution: protocols in this codebase halt agents
+// progressively — covered edges and tight vertices drop out within a few
+// iterations — so the engine keeps per-shard worklists of live agents,
+// compacted in place (preserving ascending id order) whenever an agent
+// halts, and steps only the acting side's worklists. Accounting and
+// retirement touch only the lines that carried a message, so a sparse
+// round costs O(live acting agents + lines hit). Quiescence is a
+// live-agent counter maintained at worklist compaction — O(1) per round
+// instead of an O(n + m) scan.
 //
 // Halting is decided by an agent inside its own step(); once an agent
-// reports halted() it is retired from the worklists and never stepped
-// again. Un-halting an agent externally between rounds is outside the
-// execution model (under kDense such an agent would be swept up again;
-// under kActive it stays retired).
+// reports halted() it is retired from its worklist and never stepped
+// again. Changing an agent's halted state externally between rounds is
+// outside the execution model.
 //
-// Parallel execution: within a round every agent reads only the `current`
-// buffers (last round's messages) and writes only its own `next` slots, so
-// vertex and edge agents are mutually independent. The engine partitions
+// Parallel execution: within a round every acting agent reads only the
+// direction addressed to its side and writes only its own slots of the
+// other, so acting agents are mutually independent. The engine partitions
 // both agent classes into contiguous shards balanced by incidence count
-// and steps the shards on a fixed-size thread pool; when few agents are
-// live, the dispatch shrinks to fewer workers (or runs inline) so sparse
-// rounds do not pay the wakeup handshake.
+// and steps the acting side's shards on a fixed-size thread pool; when
+// few agents are live, the dispatch shrinks to fewer workers (or runs
+// inline) so sparse rounds do not pay the wakeup handshake.
 //
 // Pool ownership: by default the engine constructs its own ThreadPool from
 // Options::threads. With Options::pool set it instead borrows that pool
@@ -140,37 +147,31 @@ inline void mark_line(std::uint64_t* lines, std::size_t slot) noexcept {
 }
 
 /// Per-direction mailbox: one slot per network link, flat over the CSR
-/// positions of the receiving side, double-buffered (current / next).
-/// The lanes point into the engine's mailbox block; the presence lanes
-/// are padded to whole lines and the padding stays zero.
+/// positions of the receiving side. Its senders write it in one round and
+/// its receivers read it in the next. The lanes point into the engine's
+/// mailbox block; the presence lane is padded to whole lines and the
+/// padding stays zero.
 template <class M>
 struct Mailbox {
-  M* current = nullptr;
-  M* next = nullptr;
-  std::uint8_t* current_present = nullptr;
-  std::uint8_t* next_present = nullptr;
-  std::size_t present_bytes = 0;  // per presence lane, whole lines
+  M* payload = nullptr;
+  std::uint8_t* present = nullptr;
   // One bit per presence line that may hold a message; wiped on retire.
-  std::vector<std::uint64_t> current_lines, next_lines;
+  std::vector<std::uint64_t> lines;
 
-  /// Bytes of one payload lane for `links` slots, rounded to a line.
+  /// Bytes of the payload lane for `links` slots, rounded to a line.
   static std::size_t payload_bytes(std::size_t links) noexcept {
     return (links * sizeof(M) + kLineSlots - 1) / kLineSlots * kLineSlots;
   }
 
-  /// Points the lanes at `payload` (two payload lanes) and `present` (two
-  /// zeroed presence lanes of `lines` lines each) and advances both.
-  void place(std::byte*& payload, std::uint8_t*& present, std::size_t links,
-             std::size_t lines) {
-    current = reinterpret_cast<M*>(payload);
-    next = reinterpret_cast<M*>(payload + payload_bytes(links));
-    payload += 2 * payload_bytes(links);
-    present_bytes = lines * kLineSlots;
-    current_present = present;
-    next_present = present + present_bytes;
-    present += 2 * present_bytes;
-    current_lines.assign((lines + 63) / 64, 0);
-    next_lines.assign((lines + 63) / 64, 0);
+  /// Points the lanes at `payload_at` and `present_at` (a zeroed presence
+  /// lane of `line_count` lines) and advances both past them.
+  void place(std::byte*& payload_at, std::uint8_t*& present_at,
+             std::size_t links, std::size_t line_count) {
+    payload = reinterpret_cast<M*>(payload_at);
+    payload_at += payload_bytes(links);
+    present = present_at;
+    present_at += line_count * kLineSlots;
+    lines.assign((line_count + 63) / 64, 0);
   }
 };
 
@@ -239,13 +240,13 @@ class Inbox {
   std::uint32_t fan_;
 };
 
-/// Per-shard scratch: the line bitmaps of the shard's sends plus its work
-/// counters, merged single-threaded after the parallel phase. Cache-line
-/// aligned so neighbouring shards never false-share.
+/// Per-shard scratch: the line bitmap of the shard's sends plus its step
+/// counter, merged single-threaded after the parallel phase. One bitmap
+/// serves both directions: a round writes only one, and both have one
+/// line per 64 links. Cache-line aligned so neighbouring shards never
+/// false-share.
 struct alignas(64) ShardScratch {
-  std::vector<std::uint64_t> to_edge_lines;    // edge-side lines written
-  std::vector<std::uint64_t> to_vertex_lines;  // vertex-side lines written
-  std::uint64_t agents_visited = 0;
+  std::vector<std::uint64_t> lines;
   std::uint64_t agent_steps = 0;
 };
 
@@ -289,7 +290,7 @@ class Engine {
     [[nodiscard]] const EdgeMsg* message_from(std::uint32_t local) const {
       const std::size_t slot = eng_->vertex_base(v_) + local;
       return eng_->slot_present(eng_->to_vertex_, slot)
-                 ? &eng_->to_vertex_.current[slot]
+                 ? &eng_->to_vertex_.payload[slot]
                  : nullptr;
     }
     /// Sends a message to incident edge `local`, delivered next round.
@@ -328,7 +329,7 @@ class Engine {
     [[nodiscard]] const VertexMsg* message_from(std::uint32_t local) const {
       const std::size_t slot = eng_->edge_base(e_) + local;
       return eng_->slot_present(eng_->to_edge_, slot)
-                 ? &eng_->to_edge_.current[slot]
+                 ? &eng_->to_edge_.payload[slot]
                  : nullptr;
     }
     void send(std::uint32_t local, const EdgeMsg& msg) {
@@ -375,12 +376,7 @@ class Engine {
     vertex_shards_ = balanced_shards(vertex_slot_base_, shards);
     edge_shards_ = balanced_shards(edge_slot_base_, shards);
     scratch_.resize(shards);
-    if (options_.scheduling == Scheduling::kActive) {
-      for (auto& sc : scratch_) {  // kDense sends mark no lines
-        sc.to_edge_lines.assign(to_edge_.next_lines.size(), 0);
-        sc.to_vertex_lines.assign(to_vertex_.next_lines.size(), 0);
-      }
-    }
+    for (auto& sc : scratch_) sc.lines.assign(to_edge_.lines.size(), 0);
     const std::uint64_t network_size =
         std::uint64_t{graph.num_vertices()} + graph.num_edges();
     stats_.bandwidth_limit_bits =
@@ -420,28 +416,20 @@ class Engine {
     return stats_;
   }
 
-  /// Executes exactly one synchronous round (exposed for lock-step tests).
+  /// Executes exactly one synchronous round (exposed for lock-step tests):
+  /// steps the acting side, accounts the direction it wrote, and retires
+  /// the direction it read.
   void step_round() {
     ensure_frontier();
     if (options_.keep_round_stats) stats_.per_round.emplace_back();
     const std::uint64_t t0 = cycle_now();
-    if (options_.scheduling == Scheduling::kDense) {
-      step_round_dense();
-      stats_.step_cycles += cycle_now() - t0;
-      mark_every_line(to_edge_.next_lines, to_edge_.present_bytes);
-      mark_every_line(to_vertex_.next_lines, to_vertex_.present_bytes);
+    dispatch_frontier();
+    stats_.step_cycles += cycle_now() - t0;
+    if (vertices_act()) {
+      close_round(to_edge_, 0, to_vertex_);
     } else {
-      dispatch_frontier();
-      stats_.step_cycles += cycle_now() - t0;
-      fold_scratch();
-      refresh_live_count();
+      close_round(to_vertex_, 1, to_edge_);
     }
-    const std::uint64_t t1 = cycle_now();
-    account_links(to_edge_, 0);
-    account_links(to_vertex_, 1);
-    swap_and_clear(to_edge_);
-    swap_and_clear(to_vertex_);
-    stats_.account_cycles += cycle_now() - t1;
     ++round_;
   }
 
@@ -450,11 +438,10 @@ class Engine {
     return pool_ ? pool_->size() : 1;
   }
 
-  /// True once every agent halted. Under active scheduling this is the
-  /// O(1) live-agent counter after the first round; before any round (and
-  /// always under kDense) it falls back to the full scan.
+  /// True once every agent halted: the O(1) live-agent counter once the
+  /// worklists exist, else a full scan.
   [[nodiscard]] bool all_halted() const {
-    if (frontier_built_) return live_agents_ == 0;
+    if (frontier_built_) return live_vertices_ + live_edges_ == 0;
     for (const auto& a : vertex_agents_) {
       if (!a.halted()) return false;
     }
@@ -465,16 +452,10 @@ class Engine {
   }
 
   /// Number of non-halted agents (vertices + edges), exact at round
-  /// boundaries. Under kDense this is a full O(n + m) scan.
+  /// boundaries.
   [[nodiscard]] std::size_t live_agents() {
-    if (options_.scheduling == Scheduling::kDense) {
-      std::size_t live = 0;
-      for (const auto& a : vertex_agents_) live += !a.halted();
-      for (const auto& a : edge_agents_) live += !a.halted();
-      return live;
-    }
     ensure_frontier();
-    return live_agents_;
+    return live_vertices_ + live_edges_;
   }
 
   [[nodiscard]] const RunStats& stats() const noexcept { return stats_; }
@@ -484,7 +465,7 @@ class Engine {
   /// (result caches, batch slots) don't pin peak-round footprints;
   /// stepping again afterwards is still valid (the worklists rebuild
   /// lazily from the halted flags). The line bitmaps are fixed-size and
-  /// stay, so a buffer retired later still wipes exactly its lines.
+  /// stay, so a direction retired later still wipes exactly its lines.
   void release_round_memory() {
     // Swap against empties: `v = {}` is assign(initializer_list), which
     // clears the contents but may keep the allocation alive.
@@ -526,22 +507,24 @@ class Engine {
     return edge_slot_base_[e];
   }
 
+  /// Vertices act in even rounds, edges in odd ones.
+  [[nodiscard]] bool vertices_act() const noexcept { return round_ % 2 == 0; }
+
   template <class M>
-  [[nodiscard]] bool slot_present(const detail::Mailbox<M>& buf,
+  [[nodiscard]] bool slot_present(const detail::Mailbox<M>& box,
                                   std::size_t slot) const noexcept {
-    return buf.current_present[slot] != 0;
+    return box.present[slot] != 0;
   }
 
   template <class M>
-  [[nodiscard]] detail::Inbox<M> make_inbox(const detail::Mailbox<M>& buf,
+  [[nodiscard]] detail::Inbox<M> make_inbox(const detail::Mailbox<M>& box,
                                             std::size_t base,
                                             std::uint32_t fan) const noexcept {
-    return detail::Inbox<M>(buf.current + base, buf.current_present + base,
-                            fan);
+    return detail::Inbox<M>(box.payload + base, box.present + base, fan);
   }
 
-  /// Makes the one allocation behind both directions' mailboxes: four
-  /// payload lanes, then four presence lanes, each line-aligned. Only the
+  /// Makes the one allocation behind both directions' mailboxes: two
+  /// payload lanes, then two presence lanes, each line-aligned. Only the
   /// presence lanes are zeroed.
   void init_mailboxes() {
     static_assert(alignof(VertexMsg) <= detail::kLineSlots &&
@@ -550,9 +533,9 @@ class Engine {
     const std::size_t lines =
         (links + detail::kLineSlots - 1) / detail::kLineSlots;
     const std::size_t payload =
-        2 * (detail::Mailbox<VertexMsg>::payload_bytes(links) +
-             detail::Mailbox<EdgeMsg>::payload_bytes(links));
-    const std::size_t present = 4 * lines * detail::kLineSlots;
+        detail::Mailbox<VertexMsg>::payload_bytes(links) +
+        detail::Mailbox<EdgeMsg>::payload_bytes(links);
+    const std::size_t present = 2 * lines * detail::kLineSlots;
     // Over-allocate and align by hand: an aligned operator new goes
     // through memalign, whose split-off remainders fragment the heap when
     // engines of one size are made and freed in turn.
@@ -609,12 +592,12 @@ class Engine {
   /// after constructing the engine; agents constructed (or configured)
   /// halted are never scheduled.
   void ensure_frontier() {
-    if (frontier_built_ || options_.scheduling == Scheduling::kDense) return;
+    if (frontier_built_) return;
     frontier_built_ = true;
     const unsigned shards = shard_count();
     vertex_work_.resize(shards);
     edge_work_.resize(shards);
-    live_agents_ = 0;
+    live_vertices_ = live_edges_ = 0;
     for (unsigned s = 0; s < shards; ++s) {
       auto& vw = vertex_work_[s];
       vw.clear();
@@ -629,51 +612,48 @@ class Engine {
       for (std::uint32_t e = edge_shards_[s]; e < edge_shards_[s + 1]; ++e) {
         if (!edge_agents_[e].halted()) ew.push_back(e);
       }
-      live_agents_ += vw.size() + ew.size();
+      live_vertices_ += vw.size();
+      live_edges_ += ew.size();
     }
   }
 
-  /// Steps one shard's worklists and compacts them in place: an agent that
-  /// halts during its step is dropped, preserving ascending id order.
-  void step_shard(unsigned s) {
-    detail::ShardScratch& sc = scratch_[s];
-    auto& vw = vertex_work_[s];
-    sc.agents_visited += vw.size();
+  /// Steps every agent of one worklist and compacts it in place: an agent
+  /// that halts during its step is dropped, preserving ascending id order.
+  template <class Ctx, class Agent>
+  void step_worklist(std::vector<std::uint32_t>& work,
+                     std::vector<Agent>& agents, detail::ShardScratch& sc) {
     std::size_t out = 0;
-    for (std::size_t i = 0; i < vw.size(); ++i) {
-      const hg::VertexId v = vw[i];
-      VertexAgent& a = vertex_agents_[v];
-      if (a.halted()) continue;
-      ++sc.agent_steps;
-      VertexCtx ctx(this, v, &sc);
+    for (std::size_t i = 0; i < work.size(); ++i) {
+      const std::uint32_t id = work[i];
+      Agent& a = agents[id];
+      Ctx ctx(this, id, &sc);
       a.step(ctx);
-      if (!a.halted()) vw[out++] = v;
+      if (!a.halted()) work[out++] = id;
     }
-    vw.resize(out);
-    auto& ew = edge_work_[s];
-    sc.agents_visited += ew.size();
-    out = 0;
-    for (std::size_t i = 0; i < ew.size(); ++i) {
-      const hg::EdgeId e = ew[i];
-      EdgeAgent& a = edge_agents_[e];
-      if (a.halted()) continue;
-      ++sc.agent_steps;
-      EdgeCtx ctx(this, e, &sc);
-      a.step(ctx);
-      if (!a.halted()) ew[out++] = e;
-    }
-    ew.resize(out);
+    sc.agent_steps += work.size();
+    work.resize(out);
   }
 
-  /// Runs all shards, on as many workers as the live-agent count merits.
-  /// Any worker count yields the same result: agents are independent and
-  /// every shard is stepped exactly once by exactly one worker.
+  /// Steps the acting side's worklist of shard `s`.
+  void step_shard(unsigned s) {
+    if (vertices_act()) {
+      step_worklist<VertexCtx>(vertex_work_[s], vertex_agents_, scratch_[s]);
+    } else {
+      step_worklist<EdgeCtx>(edge_work_[s], edge_agents_, scratch_[s]);
+    }
+  }
+
+  /// Runs all shards, on as many workers as the acting side's live-agent
+  /// count merits. Any worker count yields the same result: acting agents
+  /// are independent and every shard is stepped exactly once by exactly
+  /// one worker.
   void dispatch_frontier() {
     const unsigned shards = shard_count();
     unsigned workers = 1;
     if (pool_) {
+      const std::size_t live = vertices_act() ? live_vertices_ : live_edges_;
       workers = static_cast<unsigned>(std::clamp<std::size_t>(
-          live_agents_ / kMinAgentsPerWorker, 1, pool_->size()));
+          live / kMinAgentsPerWorker, 1, pool_->size()));
     }
     if (workers <= 1) {
       for (unsigned s = 0; s < shards; ++s) step_shard(s);
@@ -686,70 +666,31 @@ class Engine {
     }
   }
 
-  /// Merges per-shard line bitmaps (OR) and work counters, in shard order,
-  /// on the calling thread — the single deterministic point between the
-  /// parallel step phase and accounting.
-  void fold_scratch() {
-    const auto merge = [](std::vector<std::uint64_t>& into,
-                          std::vector<std::uint64_t>& from) {
-      for (std::size_t w = 0; w < from.size(); ++w) {
-        into[w] |= from[w];
-        from[w] = 0;
-      }
-    };
+  /// Ends the round after the step phase, on the calling thread — the
+  /// single deterministic point after the parallel phase. Merges the
+  /// shards' line bitmaps (OR) into the direction written this round and
+  /// their step counters into the stats, in shard order; refreshes the
+  /// acting side's live count; accounts `written`; retires `read`.
+  template <class W, class R>
+  void close_round(detail::Mailbox<W>& written, std::uint64_t key_bit,
+                   detail::Mailbox<R>& read) {
     for (auto& sc : scratch_) {
-      merge(to_edge_.next_lines, sc.to_edge_lines);
-      merge(to_vertex_.next_lines, sc.to_vertex_lines);
-      stats_.agents_visited += sc.agents_visited;
-      sc.agents_visited = 0;
+      for (std::size_t w = 0; w < written.lines.size(); ++w) {
+        written.lines[w] |= sc.lines[w];
+        sc.lines[w] = 0;
+      }
       stats_.agent_steps += sc.agent_steps;
       sc.agent_steps = 0;
     }
-  }
-
-  void refresh_live_count() {
-    live_agents_ = 0;
-    for (const auto& wl : vertex_work_) live_agents_ += wl.size();
-    for (const auto& wl : edge_work_) live_agents_ += wl.size();
-  }
-
-  // --- reference dense sweeps (Scheduling::kDense) -------------------------
-
-  void step_round_dense() {
-    if (pool_) {
-      pool_->run([this](unsigned shard) {
-        step_vertex_range(vertex_shards_[shard], vertex_shards_[shard + 1],
-                          scratch_[shard]);
-        step_edge_range(edge_shards_[shard], edge_shards_[shard + 1],
-                        scratch_[shard]);
-      });
-    } else {
-      step_vertex_range(0, graph_->num_vertices(), scratch_[0]);
-      step_edge_range(0, graph_->num_edges(), scratch_[0]);
+    std::size_t live = 0;
+    for (const auto& wl : vertices_act() ? vertex_work_ : edge_work_) {
+      live += wl.size();
     }
-    fold_scratch();  // no lines are marked here; folds the counters
-  }
-
-  void step_vertex_range(hg::VertexId begin, hg::VertexId end,
-                         detail::ShardScratch& sc) {
-    sc.agents_visited += end - begin;
-    for (hg::VertexId v = begin; v < end; ++v) {
-      if (vertex_agents_[v].halted()) continue;
-      ++sc.agent_steps;
-      VertexCtx ctx(this, v, nullptr);
-      vertex_agents_[v].step(ctx);
-    }
-  }
-
-  void step_edge_range(hg::EdgeId begin, hg::EdgeId end,
-                       detail::ShardScratch& sc) {
-    sc.agents_visited += end - begin;
-    for (hg::EdgeId e = begin; e < end; ++e) {
-      if (edge_agents_[e].halted()) continue;
-      ++sc.agent_steps;
-      EdgeCtx ctx(this, e, nullptr);
-      edge_agents_[e].step(ctx);
-    }
+    (vertices_act() ? live_vertices_ : live_edges_) = live;
+    const std::uint64_t t0 = cycle_now();
+    account_links(written, key_bit);
+    retire(read);
+    stats_.account_cycles += cycle_now() - t0;
   }
 
   // --- sharding ------------------------------------------------------------
@@ -775,37 +716,27 @@ class Engine {
   void send_to_edge(detail::ShardScratch* sc, hg::VertexId v,
                     std::uint32_t local, const VertexMsg& msg) {
     const std::uint32_t slot = v_send_slot_[vertex_slot_base_[v] + local];
-    post(to_edge_, sc ? sc->to_edge_lines.data() : nullptr, slot, msg);
+    post(to_edge_, sc->lines.data(), slot, msg);
   }
 
   void send_to_vertex(detail::ShardScratch* sc, hg::EdgeId e,
                       std::uint32_t local, const EdgeMsg& msg) {
     const std::uint32_t slot = e_send_slot_[edge_slot_base_[e] + local];
-    post(to_vertex_, sc ? sc->to_vertex_lines.data() : nullptr, slot, msg);
+    post(to_vertex_, sc->lines.data(), slot, msg);
   }
 
   /// Stores `msg` in `slot` with its bit-size lane, and marks the slot's
-  /// line in `lines` (null under kDense, whose sends mark nothing: the
-  /// round then marks every line).
+  /// line in the sending shard's bitmap `lines`.
   template <class M>
-  static void post(detail::Mailbox<M>& buf, std::uint64_t* lines,
+  static void post(detail::Mailbox<M>& box, std::uint64_t* lines,
                    std::uint32_t slot, const M& msg) {
-    assert(!buf.next_present[slot] && "one message per link per round");
-    buf.next[slot] = msg;
-    buf.next_present[slot] = detail::lane(msg.bit_size());
-    if (lines) detail::mark_line(lines, slot);
+    assert(!box.present[slot] && "one message per link per round");
+    box.payload[slot] = msg;
+    box.present[slot] = detail::lane(msg.bit_size());
+    detail::mark_line(lines, slot);
   }
 
-  // --- accounting and clearing ---------------------------------------------
-
-  /// Sets every line bit of a lane `present_bytes` long (kDense).
-  static void mark_every_line(std::vector<std::uint64_t>& lines,
-                              std::size_t present_bytes) {
-    std::fill(lines.begin(), lines.end(), ~std::uint64_t{0});
-    if (const std::size_t tail = present_bytes / detail::kLineSlots % 64) {
-      lines.back() = (std::uint64_t{1} << tail) - 1;
-    }
-  }
+  // --- accounting and retirement -------------------------------------------
 
   /// Calls f(first slot) for every marked line in ascending order, adds
   /// the slots those lines hold (64 each, capped at the link count) to
@@ -832,26 +763,26 @@ class Engine {
     return slots;
   }
 
-  /// Folds this round's outgoing messages into the statistics in ascending
-  /// slot order (edge-bound then vertex-bound). Runs single-threaded after
-  /// the agents step, so totals and the transcript hash never depend on
-  /// agent scheduling. Marked lines cover every present slot, so the slot
-  /// order, and with it the hash, is the same whichever lines are marked.
+  /// Folds this round's messages into the statistics in ascending slot
+  /// order. Runs single-threaded after the agents step, so totals and the
+  /// transcript hash never depend on agent scheduling. Marked lines cover
+  /// every present slot, so the slot order, and with it the hash, is the
+  /// same whichever lines are marked.
   template <class M>
-  void account_links(const detail::Mailbox<M>& buf, std::uint64_t key_bit) {
-    const std::uint8_t* present = buf.next_present;
+  void account_links(const detail::Mailbox<M>& box, std::uint64_t key_bit) {
+    const std::uint8_t* present = box.present;
     const std::uint32_t limit = stats_.bandwidth_limit_bits;
     const std::uint64_t round_key = std::uint64_t{round_} << 40;
     std::uint64_t hash = stats_.transcript_hash;
     std::uint64_t messages = 0, bits = 0, violations = 0;
     std::uint32_t max_bits = 0;
-    walk_lines(buf.next_lines, stats_.dense_account_passes,
+    walk_lines(box.lines, stats_.dense_account_passes,
                stats_.sparse_account_passes, [&](std::size_t begin) {
       for (std::uint64_t set = detail::nonzero_bytes(present + begin);
            set != 0; set &= set - 1) {
         const std::size_t slot = begin + std::countr_zero(set);
         std::uint32_t b = present[slot];
-        if (b == detail::kLaneEscape) b = buf.next[slot].bit_size();
+        if (b == detail::kLaneEscape) b = box.payload[slot].bit_size();
         ++messages;
         bits += b;
         max_bits = std::max(max_bits, b);
@@ -873,19 +804,17 @@ class Engine {
     }
   }
 
-  /// Advances the double buffer and wipes the retired side's marked lines.
+  /// Wipes the marked lines of a direction its receivers have read, so it
+  /// is empty when its senders act next.
   template <class M>
-  void swap_and_clear(detail::Mailbox<M>& buf) {
-    std::swap(buf.current, buf.next);
-    std::swap(buf.current_present, buf.next_present);
-    buf.current_lines.swap(buf.next_lines);
-    std::uint8_t* present = buf.next_present;
+  void retire(detail::Mailbox<M>& box) {
+    std::uint8_t* present = box.present;
     stats_.clear_slots +=
-        walk_lines(buf.next_lines, stats_.dense_clear_passes,
+        walk_lines(box.lines, stats_.dense_clear_passes,
                    stats_.sparse_clear_passes, [&](std::size_t begin) {
                      std::memset(present + begin, 0, detail::kLineSlots);
                    });
-    std::fill(buf.next_lines.begin(), buf.next_lines.end(), 0);
+    std::fill(box.lines.begin(), box.lines.end(), 0);
   }
 
   const hg::Hypergraph* graph_;
@@ -905,11 +834,12 @@ class Engine {
   std::unique_ptr<ThreadPool> owned_pool_;     // empty in external-pool mode
   std::vector<std::uint32_t> vertex_shards_;   // shard bounds, size shards+1
   std::vector<std::uint32_t> edge_shards_;
-  std::vector<detail::ShardScratch> scratch_;  // per shard, both modes
+  std::vector<detail::ShardScratch> scratch_;  // per shard
   std::vector<std::vector<std::uint32_t>> vertex_work_;  // live ids, per shard
   std::vector<std::vector<std::uint32_t>> edge_work_;
   bool frontier_built_ = false;
-  std::size_t live_agents_ = 0;  // maintained at worklist compaction
+  std::size_t live_vertices_ = 0;  // maintained at worklist compaction
+  std::size_t live_edges_ = 0;
 };
 
 }  // namespace hypercover::congest

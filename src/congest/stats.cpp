@@ -10,7 +10,7 @@ std::ostream& operator<<(std::ostream& os, const RunStats& s) {
             << " max_msg_bits=" << s.max_message_bits << "/"
             << s.bandwidth_limit_bits
             << " violations=" << s.bandwidth_violations
-            << " steps=" << s.agent_steps << "/" << s.agents_visited
+            << " steps=" << s.agent_steps
             << " slots=" << s.slots_processed
             << " passes=sparse:" << s.sparse_account_passes
             << "+dense:" << s.dense_account_passes

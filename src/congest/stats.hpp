@@ -41,26 +41,25 @@ struct RunStats {
 
   // Engine work accounting (scheduler cost, not protocol semantics).
   // These measure how many items the engine touched, so the frontier
-  // optimization is verifiable: under Scheduling::kActive late sparse
-  // rounds cost O(live agents + presence lines hit), under kDense every
-  // round costs O(n + m + links). None of them feed the transcript hash.
-  /// Scheduler loop visits (dense sweeps count every agent every round;
-  /// frontier worklists count only live agents).
-  std::uint64_t agents_visited = 0;
-  /// Actual step() invocations on non-halted agents.
+  // optimization is verifiable: a late sparse round costs O(live acting
+  // agents + presence lines hit). None of them feed the transcript hash.
+  /// step() invocations: in each round, the acting side's live agents
+  /// (vertices in even rounds, edges in odd ones). The idle side is never
+  /// stepped, so this counts each live agent about every other round.
   std::uint64_t agent_steps = 0;
   /// Presence bytes scanned by message accounting and wiped by clearing:
   /// 64 per visited presence line, capped at the link count (a dense pass
   /// counts all links).
   std::uint64_t slots_processed = 0;
-  /// Accounting passes, two per round (one per direction). A pass is
-  /// dense iff it visits every presence line, sparse otherwise.
+  /// Accounting passes, one per round (over the direction the acting side
+  /// wrote). A pass is dense iff it visits every presence line, sparse
+  /// otherwise.
   std::uint64_t sparse_account_passes = 0;
   std::uint64_t dense_account_passes = 0;
   /// Presence bytes wiped by clearing alone (a subset of slots_processed).
   std::uint64_t clear_slots = 0;
-  /// Clearing passes, one per retired buffer (two per round), dense iff
-  /// they wipe every presence line.
+  /// Clearing passes, one per round (over the direction the acting side
+  /// read), dense iff they wipe every presence line.
   std::uint64_t sparse_clear_passes = 0;
   std::uint64_t dense_clear_passes = 0;
   /// CPU timestamp-counter ticks (congest::cycle_now) spent in the
@@ -74,21 +73,6 @@ struct RunStats {
 };
 
 std::ostream& operator<<(std::ostream& os, const RunStats& s);
-
-/// How the engine schedules agent steps, message accounting, and mailbox
-/// clearing. Both modes execute the same protocol and produce the same
-/// transcript hash, duals, and cover — only the engine's own work differs.
-enum class Scheduling : std::uint8_t {
-  /// Frontier worklists over live agents; sends mark the 64-slot
-  /// presence lines they write, and accounting and clearing visit only
-  /// the marked lines (every line on saturated rounds). Late sparse
-  /// rounds cost O(live agents + presence lines hit).
-  kActive,
-  /// Reference dense sweeps: every round scans all agents, all presence
-  /// lines, and wipes both presence lanes in full. Kept as an A/B
-  /// baseline for tests and benchmarks.
-  kDense,
-};
 
 /// Engine configuration.
 struct Options {
@@ -105,9 +89,6 @@ struct Options {
   /// accounting happens in a deterministic slot-order pass after the
   /// agents step, so the transcript hash is independent of scheduling.
   std::uint32_t threads = 1;
-  /// Activity-driven (default) vs reference dense execution; both are
-  /// bit-identical in every protocol-observable quantity.
-  Scheduling scheduling = Scheduling::kActive;
   /// External-pool mode: a borrowed worker pool the engine dispatches its
   /// rounds on instead of constructing one of its own. Non-owning; the
   /// pool must outlive the engine, and `threads` is ignored (the pool's

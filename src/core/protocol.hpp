@@ -23,6 +23,9 @@
 //             δ(e) += bid (or bid/2 in the Appendix C variant),
 //          E->V  Result{raised}
 //
+// The engine steps vertex agents only in even rounds and edge agents only
+// in odd ones, so each agent tells its phases apart by r mod 4 alone.
+//
 // Both endpoints of a link maintain bid(e) with bit-identical double
 // operations, so no bid value ever travels in a message (matching
 // Appendix B item 4: only the "was multiplied by alpha" bit is sent).
@@ -211,16 +214,10 @@ class MwhvcVertexAgent {
       ctx.broadcast(msg);
       return;
     }
-    if (r < 2) return;
-    switch ((r - 2) % 4) {
-      case 0:
-        phase_a(ctx);
-        break;
-      case 2:
-        phase_c(ctx);
-        break;
-      default:
-        break;  // edge phases
+    if (r % 4 == 2) {
+      phase_a(ctx);
+    } else {
+      phase_c(ctx);
     }
   }
 
@@ -412,20 +409,12 @@ class MwhvcEdgeAgent {
   template <class Ctx>
   void step(Ctx& ctx) {
     const std::uint32_t r = ctx.round();
-    if (r == 0) return;  // init messages are in flight
     if (r == 1) {
       init_reply(ctx);
-      return;
-    }
-    switch ((r - 2) % 4) {
-      case 1:
-        phase_b(ctx);
-        break;
-      case 3:
-        phase_d(ctx);
-        break;
-      default:
-        break;  // vertex phases
+    } else if (r % 4 == 3) {
+      phase_b(ctx);
+    } else {
+      phase_d(ctx);
     }
   }
 

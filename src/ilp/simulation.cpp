@@ -167,16 +167,10 @@ struct SimVarAgent {
       if (active_count == 0) halted_flag = true;  // appears in no clause
       return;
     }
-    if (r < 2) return;
-    switch ((r - 2) % 4) {
-      case 0:
-        phase_a(ctx);
-        break;
-      case 2:
-        phase_c(ctx);
-        break;
-      default:
-        break;
+    if (r % 4 == 2) {
+      phase_a(ctx);
+    } else {
+      phase_c(ctx);
     }
   }
 
@@ -350,20 +344,12 @@ struct SimConsAgent {
   template <class Ctx>
   void step(Ctx& ctx) {
     const std::uint32_t r = ctx.round();
-    if (r == 0) return;
     if (r == 1) {
       init_reply(ctx);
-      return;
-    }
-    switch ((r - 2) % 4) {
-      case 1:
-        phase_b(ctx);
-        break;
-      case 3:
-        phase_d(ctx);
-        break;
-      default:
-        break;
+    } else if (r % 4 == 3) {
+      phase_b(ctx);
+    } else {
+      phase_d(ctx);
     }
   }
 

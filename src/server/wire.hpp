@@ -254,9 +254,11 @@ struct ServerStats {
   std::uint32_t max_inflight = 0;
   // Cumulative engine work across cold solves (cache hits ran no engine),
   // summed from each Solution's RunStats. engine_step_cycles
-  // over engine_agent_steps is the server's cycles-per-agent-step;
-  // engine_clear_slots counts the presence bytes wiped when mailbox
-  // buffers retire (64 per wiped presence line, capped at the link count).
+  // over engine_agent_steps is the server's cycles-per-agent-step, where
+  // a round steps only its acting side (vertices in even rounds, edges in
+  // odd ones); engine_clear_slots counts the presence bytes wiped when a
+  // direction that was read retires (64 per wiped presence line, capped
+  // at the link count), and each round makes one clear pass.
   std::uint64_t engine_rounds = 0;
   std::uint64_t engine_agent_steps = 0;
   std::uint64_t engine_step_cycles = 0;

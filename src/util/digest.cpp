@@ -44,7 +44,7 @@ std::uint64_t solve_digest(std::uint64_t graph_digest,
   h = mix64(h, req.f_override);
   // Engine knobs that change the *result* (an earlier hard stop truncates
   // the run; the bandwidth factor and per-round stats land in RunStats).
-  // threads / scheduling / pool are excluded: bit-identical by contract.
+  // threads / pool are excluded: bit-identical by contract.
   h = mix64(h, req.engine.max_rounds);
   h = mix64(h, req.engine.bandwidth_factor);
   h = mix64(h, req.engine.keep_round_stats ? 1 : 0);

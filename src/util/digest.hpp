@@ -10,8 +10,8 @@
 // `solve_digest` keys exactly the inputs that determine a Solution:
 // the instance (graph_digest), the registry algorithm name, and every
 // result-affecting knob of the SolveRequest. Execution-only knobs —
-// engine threads, scheduling mode, external pool — are deliberately
-// EXCLUDED: the engine guarantees bit-identical runs across all of them
+// engine threads and external pool — are deliberately
+// EXCLUDED: the engine guarantees bit-identical runs across both
 // (locked by tests/engine_parallel_test.cpp and tests/batch_test.cpp),
 // so two requests differing only there must share one cache entry.
 //

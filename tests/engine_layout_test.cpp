@@ -1,8 +1,8 @@
 // Golden-digest and lock-step tests for the engine's byte-presence
 // mailboxes: every protocol must keep its historical transcripts, covers,
-// and duals at every thread count and scheduling mode, the bit-size lane
-// must account every message size exactly, and an engine stepped again
-// after run() released its round memory must continue bit-identically.
+// and duals at every thread count, the bit-size lane must account every
+// message size exactly, and an engine stepped again after run() released
+// its round memory must continue bit-identically.
 //
 // The golden table below locks every registry algorithm to the
 // historical transcripts: an engine change that reorders or drops a
@@ -26,8 +26,6 @@
 
 namespace hypercover {
 namespace {
-
-using congest::Scheduling;
 
 // --- golden digests -------------------------------------------------------
 
@@ -146,14 +144,15 @@ TEST(EngineLayoutGolden, EveryAlgorithmMatchesGoldenDigests) {
 
 // --- Oscillating saturated <-> sparse protocol -----------------------------
 //
-// Three rounds of all-agents broadcast (saturated: dense accounting, full
-// memset clears), then the chorus (15/16 of the vertices) halts and a
-// beacon minority oscillates: every beacon sends on even rounds, only
-// every fourth beacon on odd rounds. Edges echo while they keep hearing
-// something and retire after two silent rounds. The engine therefore
-// flips between dense and sparse accounting, and between memsets and
-// targeted wipes, for the rest of the run: a stale presence byte or an
-// unmarked presence line changes the transcript.
+// Vertices act in even rounds and edges in odd ones. Four rounds of
+// all-agents broadcast (saturated: dense accounting, full-line wipes),
+// then the chorus (15/16 of the vertices) halts and a beacon minority
+// oscillates: every beacon sends in rounds r % 4 == 0, only every fourth
+// beacon in rounds r % 4 == 2. Edges echo while they keep hearing
+// something and retire after two silent rounds of their own. The engine
+// therefore flips between dense and sparse accounting, and between
+// full-line wipes and targeted ones, for the rest of the run: a stale
+// presence byte or an unmarked presence line changes the transcript.
 
 struct OscMsg {
   std::uint64_t value = 0;
@@ -172,7 +171,7 @@ struct OscVertex {
       if (const OscMsg* m = in.get(k)) acc += m->value * (k + 1);
     }
     const std::uint32_t r = ctx.round();
-    if (r < 3) {  // saturated prefix: everyone talks
+    if (r < 4) {  // saturated prefix: everyone talks
       ctx.broadcast(OscMsg{acc + ctx.id()});
       return;
     }
@@ -180,11 +179,11 @@ struct OscVertex {
       halted_flag = true;
       return;
     }
-    if (r >= 19) {  // beacons retire last
+    if (r >= 20) {  // beacons retire last
       halted_flag = true;
       return;
     }
-    if (r % 2 == 0 || ctx.id() % 64 == 0) {  // oscillating beacon duty
+    if (r % 4 == 0 || ctx.id() % 64 == 0) {  // oscillating beacon duty
       ctx.broadcast(OscMsg{acc ^ (std::uint64_t{r} << 8)});
     }
   }
@@ -221,92 +220,116 @@ struct OscProtocol {
 
 using OscEngine = congest::Engine<OscProtocol>;
 
-congest::Options osc_options(Scheduling sched, std::uint32_t threads) {
+hg::Hypergraph osc_graph() {
+  return hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
+}
+
+/// The Osc run on osc_graph(), pinned from the dense reference sweep
+/// before it was retired (that sweep stepped both sides every round, with
+/// each agent then skipping its idle parity itself).
+constexpr std::uint32_t kOscRounds = 24;
+constexpr std::uint64_t kOscTranscript = 0x882fa59a5a5abedaull;
+constexpr std::uint64_t kOscMessages = 6144;
+constexpr std::uint64_t kOscBits = 99721;
+constexpr std::uint64_t kOscAgents = 0xd73e9f57bb24e10full;
+
+congest::Options osc_options(std::uint32_t threads) {
   congest::Options opt;
-  opt.scheduling = sched;
   opt.threads = threads;
   return opt;
 }
 
-/// Asserts every agent of `got` ended with the same accumulator as in
-/// `want`.
-void expect_same_agents(const OscEngine& got, const OscEngine& want,
-                        const hg::Hypergraph& g, const std::string& label) {
+/// Folds every agent's state word `word(agent)`, vertices then edges,
+/// into one digest.
+template <class Protocol, class Word>
+std::uint64_t agent_digest(const congest::Engine<Protocol>& eng,
+                           const hg::Hypergraph& g, Word word) {
+  std::uint64_t h = 0;
   for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-    ASSERT_EQ(got.vertex_agent(v).acc, want.vertex_agent(v).acc)
-        << label << " vertex " << v;
+    h = util::mix64(h, word(eng.vertex_agent(v)));
   }
   for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
-    ASSERT_EQ(got.edge_agent(e).acc, want.edge_agent(e).acc)
-        << label << " edge " << e;
+    h = util::mix64(h, word(eng.edge_agent(e)));
   }
+  return h;
 }
 
-TEST(EngineLayout, OscillatingProtocolLockStepAcrossEverything) {
-  const auto g =
-      hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
-  OscEngine reference(g, osc_options(Scheduling::kDense, 1));
-  std::vector<std::unique_ptr<OscEngine>> variants;
-  std::vector<std::string> labels;
-  for (const Scheduling sched : {Scheduling::kDense, Scheduling::kActive}) {
-    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-      variants.push_back(
-          std::make_unique<OscEngine>(g, osc_options(sched, threads)));
-      labels.push_back(
-          std::string(sched == Scheduling::kDense ? "dense" : "active") +
-          "/t" + std::to_string(threads));
+std::uint64_t osc_digest(const OscEngine& eng, const hg::Hypergraph& g) {
+  return agent_digest(eng, g, [](const auto& a) { return a.acc; });
+}
+
+TEST(EngineLayout, OscillatingProtocolLockStepAcrossThreads) {
+  const auto g = osc_graph();
+  std::vector<std::unique_ptr<OscEngine>> engines;
+  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    engines.push_back(std::make_unique<OscEngine>(g, osc_options(threads)));
+  }
+  const OscEngine& seq = *engines.front();
+  std::uint32_t rounds = 0;
+  while (!seq.all_halted() && rounds < 2 * kOscRounds) {
+    for (auto& eng : engines) eng->step_round();
+    ++rounds;
+    for (std::size_t i = 1; i < engines.size(); ++i) {
+      ASSERT_EQ(engines[i]->stats().transcript_hash,
+                seq.stats().transcript_hash)
+          << "engine " << i << " diverged at round " << rounds - 1;
+      ASSERT_EQ(engines[i]->stats().total_messages,
+                seq.stats().total_messages)
+          << "engine " << i;
     }
   }
-  while (!reference.all_halted()) {
-    reference.step_round();
-    for (std::size_t i = 0; i < variants.size(); ++i) {
-      variants[i]->step_round();
-      ASSERT_EQ(variants[i]->stats().transcript_hash,
-                reference.stats().transcript_hash)
-          << labels[i] << " diverged at round " << reference.stats().rounds;
-      ASSERT_EQ(variants[i]->stats().total_messages,
-                reference.stats().total_messages)
-          << labels[i];
-    }
-  }
-  for (std::size_t i = 0; i < variants.size(); ++i) {
-    EXPECT_TRUE(variants[i]->all_halted()) << labels[i];
-    expect_same_agents(*variants[i], reference, g, labels[i]);
+  EXPECT_EQ(rounds, kOscRounds);
+  for (std::size_t i = 0; i < engines.size(); ++i) {
+    const auto& s = engines[i]->stats();
+    EXPECT_TRUE(engines[i]->all_halted()) << "engine " << i;
+    EXPECT_EQ(s.transcript_hash, kOscTranscript) << "engine " << i;
+    EXPECT_EQ(s.total_messages, kOscMessages) << "engine " << i;
+    EXPECT_EQ(s.total_bits, kOscBits) << "engine " << i;
+    EXPECT_EQ(osc_digest(*engines[i], g), kOscAgents) << "engine " << i;
   }
 }
 
 TEST(EngineLayout, OscillationExercisesBothAccountingAndClearPaths) {
-  const auto g =
-      hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
-  OscEngine active(g, osc_options(Scheduling::kActive, 1));
-  OscEngine dense(g, osc_options(Scheduling::kDense, 1));
-  const auto sa = active.run();
-  const auto sd = dense.run();
-  EXPECT_EQ(sa.transcript_hash, sd.transcript_hash);
+  const auto g = osc_graph();
+  OscEngine eng(g, osc_options(1));
+  const auto s = eng.run();
+  EXPECT_EQ(s.transcript_hash, kOscTranscript);
+  // One accounting pass (the direction written) and one clearing pass
+  // (the direction read) per round.
+  EXPECT_EQ(s.dense_account_passes + s.sparse_account_passes, s.rounds);
+  EXPECT_EQ(s.dense_clear_passes + s.sparse_clear_passes, s.rounds);
   // The protocol's density oscillation reached both accounting paths and
   // both clearing paths.
-  EXPECT_GT(sa.dense_account_passes, 0u);
-  EXPECT_GT(sa.sparse_account_passes, 0u);
-  EXPECT_GT(sa.dense_clear_passes, 0u);
-  EXPECT_GT(sa.sparse_clear_passes, 0u);
-  // Dense scheduling wipes every presence line of every buffer; active
-  // scheduling wipes only the lines its sends marked.
-  EXPECT_GT(sa.clear_slots, 0u);
-  EXPECT_LT(sa.clear_slots, sd.clear_slots);
-  EXPECT_LT(sa.slots_processed, sd.slots_processed);
+  EXPECT_GT(s.dense_account_passes, 0u);
+  EXPECT_GT(s.sparse_account_passes, 0u);
+  EXPECT_GT(s.dense_clear_passes, 0u);
+  EXPECT_GT(s.sparse_clear_passes, 0u);
+  // Full passes would touch every presence slot of one direction per
+  // pass; the line-marked passes wipe and scan only the lines sends
+  // marked.
+  const std::uint64_t full = g.num_incidences() * std::uint64_t{s.rounds};
+  EXPECT_GT(s.clear_slots, 0u);
+  EXPECT_LT(s.clear_slots, full);
+  EXPECT_LT(s.slots_processed, 2 * full);
 }
 
 // --- bit-size lane ---------------------------------------------------------
 //
 // A send stores its bit size in the presence byte, escaping 0 and >= 255
 // to "reread the payload". This protocol sends 0-, 1-, 254-, 255- and
-// 300-bit messages in both directions for kLaneRounds rounds, each round
-// only to the receivers in one window of ids (so some presence lines stay
-// empty), on a graph of 210 links (the last line is partial). Every
+// 300-bit messages in both directions for kLaneRounds rounds (vertices in
+// the even ones, edges in the odd ones), after the first round of each
+// side only to the receivers in one window of ids (so some presence lines
+// stay empty), on a graph of 210 links (the last line is partial). Every
 // accounted quantity must equal a hand fold over the ascending slots.
 
 constexpr std::uint32_t kLaneSizes[] = {0, 1, 254, 255, 300};
 constexpr std::uint32_t kLaneRounds = 6;
+
+/// The Lane run, pinned from the dense reference sweep before it was
+/// retired (the hand fold below derives the same transcript).
+constexpr std::uint64_t kLaneTranscript = 0xcc228023670fa32cull;
+constexpr std::uint64_t kLaneAgents = 0x81c921defccd0b83ull;
 
 struct LaneMsg {
   std::uint32_t bits = 0;
@@ -314,9 +337,9 @@ struct LaneMsg {
 };
 
 /// Whether a sender sends to the receiver `to` in round r: everyone in
-/// round 0, then one window of receiver ids in four.
+/// rounds 0 and 1, then one window of receiver ids in four.
 bool lane_sends(std::uint32_t to, std::uint32_t window, std::uint32_t r) {
-  return r == 0 || to / window % 4 == r % 4;
+  return r < 2 || to / window % 4 == r % 4;
 }
 /// The bit size sender `id` uses on its link `local` in round r.
 std::uint32_t lane_bits(std::uint32_t id, std::uint32_t local,
@@ -331,7 +354,7 @@ struct LaneVertex {
   void step(Ctx& ctx) {
     for (const auto entry : ctx.inbox()) heard += entry.msg->bits + 1;
     const std::uint32_t r = ctx.round();
-    if (r == kLaneRounds) {
+    if (r >= kLaneRounds) {
       halted_flag = true;
       return;
     }
@@ -351,7 +374,7 @@ struct LaneEdge {
   void step(Ctx& ctx) {
     for (const auto entry : ctx.inbox()) heard += entry.msg->bits + 1;
     const std::uint32_t r = ctx.round();
-    if (r == kLaneRounds) {
+    if (r >= kLaneRounds) {
       halted_flag = true;
       return;
     }
@@ -397,59 +420,58 @@ TEST(EngineLayout, BitSizeLaneEscapesMatchHandFold) {
     heard += bits + 1;
   };
   for (std::uint32_t r = 0; r < kLaneRounds; ++r) {
-    std::uint64_t slot = 0;  // edge-side slots: edges ascending, members
-    for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
-      for (const hg::VertexId v : g.vertices_of(e)) {
-        const std::uint32_t k = local_index(g.edges_of(v), e);
-        if (lane_sends(e, 16, r)) fold(r, slot, 0, lane_bits(v, k, r));
-        ++slot;
+    std::uint64_t slot = 0;
+    if (r % 2 == 0) {  // edge-side slots: edges ascending, members
+      for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
+        for (const hg::VertexId v : g.vertices_of(e)) {
+          const std::uint32_t k = local_index(g.edges_of(v), e);
+          if (lane_sends(e, 16, r)) fold(r, slot, 0, lane_bits(v, k, r));
+          ++slot;
+        }
       }
-    }
-    slot = 0;  // vertex-side slots: vertices ascending, incident edges
-    for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
-      for (const hg::EdgeId e : g.edges_of(v)) {
-        const std::uint32_t j = local_index(g.vertices_of(e), v);
-        if (lane_sends(v, 8, r)) fold(r, slot, 1, lane_bits(e, j, r));
-        ++slot;
+    } else {  // vertex-side slots: vertices ascending, incident edges
+      for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
+        for (const hg::EdgeId e : g.edges_of(v)) {
+          const std::uint32_t j = local_index(g.vertices_of(e), v);
+          if (lane_sends(v, 8, r)) fold(r, slot, 1, lane_bits(e, j, r));
+          ++slot;
+        }
       }
     }
   }
   ASSERT_EQ(want.max_message_bits, 300u);
   ASSERT_GT(want.bandwidth_violations, 0u);
+  ASSERT_EQ(want.transcript_hash, kLaneTranscript);
 
-  for (const Scheduling sched : {Scheduling::kDense, Scheduling::kActive}) {
-    for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-      const std::string label =
-          std::string(sched == Scheduling::kDense ? "dense" : "active") +
-          "/t" + std::to_string(threads);
-      congest::Engine<LaneProtocol> eng(g, osc_options(sched, threads));
-      const auto got = eng.run();
-      EXPECT_TRUE(got.completed) << label;
-      EXPECT_EQ(got.rounds, kLaneRounds + 1) << label;
-      EXPECT_EQ(got.bandwidth_limit_bits, limit) << label;
-      EXPECT_EQ(got.total_messages, want.total_messages) << label;
-      EXPECT_EQ(got.total_bits, want.total_bits) << label;
-      EXPECT_EQ(got.max_message_bits, want.max_message_bits) << label;
-      EXPECT_EQ(got.bandwidth_violations, want.bandwidth_violations) << label;
-      EXPECT_EQ(got.transcript_hash, want.transcript_hash) << label;
-      // Every message, 0-bit ones included, reached its receiver intact.
-      std::uint64_t got_heard = 0;
-      for (const auto& a : eng.vertex_agents()) got_heard += a.heard;
-      for (const auto& a : eng.edge_agents()) got_heard += a.heard;
-      EXPECT_EQ(got_heard, heard) << label;
-      if (sched == Scheduling::kActive) {
-        EXPECT_GT(got.sparse_account_passes, 0u) << label;
-      }
-    }
+  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    congest::Engine<LaneProtocol> eng(g, osc_options(threads));
+    const auto got = eng.run();
+    EXPECT_TRUE(got.completed) << label;
+    EXPECT_EQ(got.rounds, kLaneRounds + 2) << label;  // one halting round each
+    EXPECT_EQ(got.bandwidth_limit_bits, limit) << label;
+    EXPECT_EQ(got.total_messages, want.total_messages) << label;
+    EXPECT_EQ(got.total_bits, want.total_bits) << label;
+    EXPECT_EQ(got.max_message_bits, want.max_message_bits) << label;
+    EXPECT_EQ(got.bandwidth_violations, want.bandwidth_violations) << label;
+    EXPECT_EQ(got.transcript_hash, want.transcript_hash) << label;
+    // Every message, 0-bit ones included, reached its receiver intact.
+    std::uint64_t got_heard = 0;
+    for (const auto& a : eng.vertex_agents()) got_heard += a.heard;
+    for (const auto& a : eng.edge_agents()) got_heard += a.heard;
+    EXPECT_EQ(got_heard, heard) << label;
+    EXPECT_EQ(agent_digest(eng, g, [](const auto& a) { return a.heard; }),
+              kLaneAgents)
+        << label;
+    EXPECT_GT(got.sparse_account_passes, 0u) << label;
   }
 }
 
 // --- bounded round memory --------------------------------------------------
 
 TEST(EngineLayout, RunReleasesRoundScratchMemory) {
-  const auto g =
-      hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
-  OscEngine eng(g, osc_options(Scheduling::kActive, 4));
+  const auto g = osc_graph();
+  OscEngine eng(g, osc_options(4));
   eng.step_round();
   eng.step_round();
   eng.step_round();
@@ -462,26 +484,28 @@ TEST(EngineLayout, RunReleasesRoundScratchMemory) {
 }
 
 // run() releases the round memory on exit but keeps the line bitmaps.
-// Stepping the engine again must still wipe every line the current
-// buffer wrote when it retires, or its stale presence bytes read as
-// messages a round later. Stop after every round k — the saturated
-// prefix (k < 3) and the sparse phase, where only some lines are marked —
-// then step to quiescence and compare against an uninterrupted run. The
-// beacons' sends repeat with period 2, so stale bytes only surface when
-// the sends after the cut differ from those before it (around the
-// beacons' retirement at round 19); hence every k, not a sample.
+// At the cut, the direction written in the last round is still unread;
+// stepping the engine again must read it, then wipe every line it
+// marked when it retires, or its stale presence bytes read as messages
+// the next time that direction is written. Stop after every round k —
+// the saturated prefix (k <= 4) and the sparse phase, where only some
+// lines are marked — then step to quiescence and compare against an
+// uninterrupted run. The beacons' sends repeat with period 4, so stale
+// bytes only surface when the sends after the cut differ from those
+// before it (around the beacons' retirement at round 20); hence every
+// k, not a sample.
 TEST(EngineLayout, SteppingResumesAfterRunReleasesRoundMemory) {
-  const auto g =
-      hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
+  const auto g = osc_graph();
   for (const std::uint32_t threads : {1u, 4u}) {
-    OscEngine whole(g, osc_options(Scheduling::kActive, threads));
+    OscEngine whole(g, osc_options(threads));
     const auto want = whole.run();
     ASSERT_TRUE(want.completed);
-    ASSERT_GT(want.rounds, 20u);
+    ASSERT_EQ(want.rounds, kOscRounds);
+    ASSERT_EQ(want.transcript_hash, kOscTranscript);
     for (std::uint32_t k = 1; k < want.rounds; ++k) {
       const std::string label =
           "threads=" + std::to_string(threads) + " k=" + std::to_string(k);
-      congest::Options opt = osc_options(Scheduling::kActive, threads);
+      congest::Options opt = osc_options(threads);
       opt.max_rounds = k;
       OscEngine resumed(g, opt);
       const auto cut = resumed.run();
@@ -498,7 +522,7 @@ TEST(EngineLayout, SteppingResumesAfterRunReleasesRoundMemory) {
           << label;
       EXPECT_EQ(resumed.stats().total_messages, want.total_messages)
           << label;
-      expect_same_agents(resumed, whole, g, label);
+      EXPECT_EQ(osc_digest(resumed, g), kOscAgents) << label;
     }
   }
 }

@@ -156,8 +156,6 @@ TEST(SolveDigest, IgnoresExecutionOnlyKnobs) {
   api::SolveRequest req = base;
   req.engine.threads = 8;
   EXPECT_EQ(d, util::solve_digest(g, "mwhvc", req));
-  req.engine.scheduling = congest::Scheduling::kDense;
-  EXPECT_EQ(d, util::solve_digest(g, "mwhvc", req));
 }
 
 TEST(SolveDigest, GraphDigestSeparatesWeightsAndMembership) {
