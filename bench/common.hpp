@@ -114,17 +114,12 @@ inline Metrics run_kvy(const hg::Hypergraph& g, double eps) {
 
 /// Attaches the engine's activity counters to a benchmark point so the
 /// JSON export (scripts/bench_json.py -> BENCH_engine.json) records the
-/// scheduler's work — agent steps, slots touched, sparse vs dense
-/// accounting passes — alongside the wall-clock numbers.
+/// scheduler's work — agent steps and presence slots wiped — alongside
+/// the wall-clock numbers.
 inline void set_activity_counters(benchmark::State& state,
                                   const congest::RunStats& net) {
   state.counters["agent_steps"] = static_cast<double>(net.agent_steps);
   state.counters["slots_processed"] = static_cast<double>(net.slots_processed);
-  state.counters["sparse_passes"] =
-      static_cast<double>(net.sparse_account_passes);
-  state.counters["dense_passes"] =
-      static_cast<double>(net.dense_account_passes);
-  state.counters["clear_slots"] = static_cast<double>(net.clear_slots);
   state.counters["step_cycles"] = static_cast<double>(net.step_cycles);
   state.counters["cycles_per_step"] =
       net.agent_steps > 0 ? static_cast<double>(net.step_cycles) /

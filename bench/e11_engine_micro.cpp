@@ -154,14 +154,14 @@ BENCHMARK(BM_EngineParallelSolve)
     ->UseRealTime();
 
 /// Transcript hash of the e11 instance random_uniform(n, 3n, 3, 2^16, 7)
-/// under MWHVC at eps = 0.5, as pinned when each size was added (the
-/// same hashes the retired dense reference sweep produced).
+/// under MWHVC at eps = 0.5, re-pinned when the transcript became a
+/// per-round multiset hash (messages, bits and covers unchanged).
 std::uint64_t reference_digest(std::uint32_t n) {
   switch (n) {
     case 10000:
-      return 0xd2937577f2094278ull;
+      return 0x01b9888774bae8bcull;
     case 100000:
-      return 0xad33ba4bde5c0daaull;
+      return 0xa56815efa2d8e346ull;
   }
   throw std::invalid_argument("no pinned e11 digest for this n");
 }
@@ -197,11 +197,11 @@ BENCHMARK(BM_SchedulingDigestGuard)
 
 // Sparse-regime tail: advance a solve (untimed) until >90% of the agents
 // have halted, then time only the remaining rounds. A tail round steps
-// only the acting side's live agents and touches only the presence lines
-// its sends marked (64 slots each); items_per_round counts those agent
-// steps plus the presence slots accounted and wiped. bench_json.py gates
-// it at >= 5x below a full sweep, agents + 4 * links items per round:
-// every agent stepped, and every presence slot of both directions
+// only the acting side's live agents and wipes only the presence lines
+// the previous round's sends marked (64 slots each); items_per_round
+// counts those agent steps plus the presence slots wiped. bench_json.py
+// gates it at >= 5x below a full sweep, agents + 4 * links items per
+// round: every agent stepped, and every presence slot of both directions
 // accounted and wiped, as the retired dense reference path measured it
 // (400k at n = 10k, 4.0M at n = 100k). The trailing /1 in the point
 // names stays for the same reason as above. Manual timing;

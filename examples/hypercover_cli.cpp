@@ -174,11 +174,6 @@ std::string stats_json(const api::Solution& sol, std::uint32_t threads,
   }
   os << "  \"agent_steps\": " << net.agent_steps << ",\n";
   os << "  \"slots_processed\": " << net.slots_processed << ",\n";
-  os << "  \"sparse_account_passes\": " << net.sparse_account_passes << ",\n";
-  os << "  \"dense_account_passes\": " << net.dense_account_passes << ",\n";
-  os << "  \"clear_slots\": " << net.clear_slots << ",\n";
-  os << "  \"sparse_clear_passes\": " << net.sparse_clear_passes << ",\n";
-  os << "  \"dense_clear_passes\": " << net.dense_clear_passes << ",\n";
   os << "  \"step_cycles\": " << net.step_cycles << ",\n";
   os << "  \"account_cycles\": " << net.account_cycles << ",\n";
   os << "  \"cycles_per_agent_step\": "

@@ -31,10 +31,17 @@
 // side is never stepped, so an agent needs no parity check of its own.
 //
 // Determinism: message buffers are flat per-link slots written by exactly
-// one sender per round, agents only mutate their own state, and message
-// accounting (bit totals + transcript hash) runs in a single deterministic
-// slot-order pass after all agents of a round have stepped. A protocol run
-// is therefore a pure function of (hypergraph, agent construction) — with
+// one sender per round, and agents only mutate their own state. Each send
+// is accounted as it is posted, into the sending shard's tally: one
+// message, its bits, the max and the violation count, and its transcript
+// term, a SplitMix64-finalized word of (round, receiver slot, bits),
+// added mod 2^64. After the step phase the shards' tallies are folded by
+// plain sums and a max, and a round that carried a message chains its
+// term sum into the transcript hash (AdHash, Bellare-Micciancio '97, used
+// as a fingerprint). (round, slot) is unique per message, so the hash
+// fixes which link carried how many bits in which round, and no total
+// depends on the send order or on the shard split. A protocol run is
+// therefore a pure function of (hypergraph, agent construction) — with
 // any Options::threads value.
 //
 // Mailbox layout: one mailbox per direction, each a payload lane and a
@@ -43,23 +50,20 @@
 // direction is enough because no direction is written and read in the
 // same round. Only the presence lanes are zeroed; the payload lanes start
 // uninitialized (poisoned in debug builds), because no payload is read
-// unless its presence byte is nonzero. A send stores the payload and
-// writes its bit size into the presence byte (1..254 exact, 255 =
-// "present, reread the payload"), so a present slot is any nonzero byte.
-// Each shard marks the 64-slot presence lines it writes in a small
-// bitmap. After round r the engine accounts the direction written in r:
-// it walks the marked lines in ascending order and the nonzero bytes of
-// each line in ascending order, reading bit sizes from the lane. It then
-// retires the direction read in r by wiping its marked lines, so that
-// direction is empty again when its senders act in round r + 1.
+// unless its presence byte is set. A send stores the payload, sets the
+// presence byte to 1 and marks its 64-slot presence line in its shard's
+// bitmap. After round r the engine merges those bitmaps into the
+// direction written in r, and retires the direction read in r by wiping
+// its marked lines, so that direction is empty again when its senders
+// act in round r + 1.
 //
 // Activity-driven execution: protocols in this codebase halt agents
 // progressively — covered edges and tight vertices drop out within a few
 // iterations — so the engine keeps per-shard worklists of live agents,
 // compacted in place (preserving ascending id order) whenever an agent
-// halts, and steps only the acting side's worklists. Accounting and
-// retirement touch only the lines that carried a message, so a sparse
-// round costs O(live acting agents + lines hit). Quiescence is a
+// halts, and steps only the acting side's worklists. Retirement touches
+// only the lines that carried a message, so a sparse round costs
+// O(live acting agents + lines hit). Quiescence is a
 // live-agent counter maintained at worklist compaction — O(1) per round
 // instead of an O(n + m) scan.
 //
@@ -101,6 +105,7 @@
 #include "congest/thread_pool.hpp"
 #include "hypergraph/hypergraph.hpp"
 #include "util/math.hpp"
+#include "util/prng.hpp"
 
 namespace hypercover::congest {
 
@@ -114,30 +119,18 @@ namespace detail {
 /// Slots per presence line: one line is one cache line of presence bytes
 /// and one bit of a line bitmap.
 inline constexpr std::size_t kLineSlots = 64;
-/// Presence byte of a message whose bit size is 0 or >= 255.
-inline constexpr std::uint8_t kLaneEscape = 255;
 
-/// The presence byte a send stores: the exact bit size when it is 1..254,
-/// else kLaneEscape (accounting rereads the payload).
-inline std::uint8_t lane(std::uint32_t bits) noexcept {
-  return bits - 1 < kLaneEscape - 1u ? static_cast<std::uint8_t>(bits)
-                                     : kLaneEscape;
-}
-
-/// Bit k set iff byte k of the presence line at `line` is nonzero.
-inline std::uint64_t nonzero_bytes(const std::uint8_t* line) noexcept {
-  static_assert(std::endian::native == std::endian::little);
-  constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7full;
-  std::uint64_t mask = 0;
-  for (std::size_t k = 0; k < kLineSlots / 8; ++k) {
-    std::uint64_t word;
-    std::memcpy(&word, line + 8 * k, 8);
-    // High bit of each byte set iff the byte is nonzero, then gathered
-    // into one bit per byte.
-    const std::uint64_t high = (word | ((word & kLow7) + kLow7)) & ~kLow7;
-    mask |= (((high >> 7) * 0x0102040810204080ull) >> 56) << (8 * k);
-  }
-  return mask;
+/// One message's transcript term; `slot` is the receiver-side slot. The
+/// round's parity fixes the direction. Round and slot pack exactly into
+/// one word, and the bits join it through a second SplitMix64 finalizer,
+/// so the terms of different messages are unrelated 64-bit values. A
+/// round's terms are summed mod 2^64, which makes the sum independent of
+/// the send order; without the finalizers one link's +1 bit and another's
+/// -1 bit could cancel in that sum.
+inline std::uint64_t transcript_term(std::uint32_t round, std::uint32_t slot,
+                                     std::uint32_t bits) noexcept {
+  const std::uint64_t message = std::uint64_t{round} << 32 | slot;
+  return util::SplitMix64(util::SplitMix64(message).next() + bits).next();
 }
 
 /// Marks the presence line holding `slot` in a line bitmap.
@@ -240,19 +233,33 @@ class Inbox {
   std::uint32_t fan_;
 };
 
-/// Per-shard scratch: the line bitmap of the shard's sends plus its step
-/// counter, merged single-threaded after the parallel phase. One bitmap
-/// serves both directions: a round writes only one, and both have one
-/// line per 64 links. Cache-line aligned so neighbouring shards never
-/// false-share.
-struct alignas(64) ShardScratch {
-  std::vector<std::uint64_t> lines;
-  std::uint64_t agent_steps = 0;
+/// One round's sends, tallied as they are posted.
+struct SendTally {
+  std::uint64_t messages = 0;
+  std::uint64_t bits = 0;
+  std::uint64_t violations = 0;
+  std::uint64_t term_sum = 0;  // transcript terms, mod 2^64
+  std::uint32_t max_bits = 0;
+
+  void add(const SendTally& o) noexcept {
+    messages += o.messages;
+    bits += o.bits;
+    violations += o.violations;
+    term_sum += o.term_sum;
+    max_bits = std::max(max_bits, o.max_bits);
+  }
 };
 
-inline std::uint64_t mix_hash(std::uint64_t h, std::uint64_t v) noexcept {
-  return util::mix64(h, v);
-}
+/// Per-shard scratch: the line bitmap of the shard's sends, its send
+/// tally and its step counter, folded single-threaded after the parallel
+/// phase. One bitmap serves both directions: a round writes only one, and
+/// both have one line per 64 links. Cache-line aligned so neighbouring
+/// shards never false-share.
+struct alignas(64) ShardScratch {
+  std::vector<std::uint64_t> lines;
+  SendTally sent;
+  std::uint64_t agent_steps = 0;
+};
 
 }  // namespace detail
 
@@ -417,7 +424,7 @@ class Engine {
   }
 
   /// Executes exactly one synchronous round (exposed for lock-step tests):
-  /// steps the acting side, accounts the direction it wrote, and retires
+  /// steps the acting side, folds the shards' send tallies, and retires
   /// the direction it read.
   void step_round() {
     ensure_frontier();
@@ -426,9 +433,9 @@ class Engine {
     dispatch_frontier();
     stats_.step_cycles += cycle_now() - t0;
     if (vertices_act()) {
-      close_round(to_edge_, 0, to_vertex_);
+      close_round(to_edge_, to_vertex_);
     } else {
-      close_round(to_vertex_, 1, to_edge_);
+      close_round(to_vertex_, to_edge_);
     }
     ++round_;
   }
@@ -666,29 +673,42 @@ class Engine {
     }
   }
 
-  /// Ends the round after the step phase, on the calling thread — the
-  /// single deterministic point after the parallel phase. Merges the
-  /// shards' line bitmaps (OR) into the direction written this round and
-  /// their step counters into the stats, in shard order; refreshes the
-  /// acting side's live count; accounts `written`; retires `read`.
+  /// Ends the round after the step phase, on the calling thread. Merges
+  /// the shards' line bitmaps (OR) into the direction written this round;
+  /// folds their send tallies (sums and a max, so the shard split drops
+  /// out) and step counters into the stats; refreshes the acting side's
+  /// live count; retires `read`.
   template <class W, class R>
-  void close_round(detail::Mailbox<W>& written, std::uint64_t key_bit,
-                   detail::Mailbox<R>& read) {
+  void close_round(detail::Mailbox<W>& written, detail::Mailbox<R>& read) {
+    const std::uint64_t t0 = cycle_now();
+    detail::SendTally round;
     for (auto& sc : scratch_) {
       for (std::size_t w = 0; w < written.lines.size(); ++w) {
         written.lines[w] |= sc.lines[w];
         sc.lines[w] = 0;
       }
+      round.add(sc.sent);
+      sc.sent = {};
       stats_.agent_steps += sc.agent_steps;
       sc.agent_steps = 0;
+    }
+    // An empty round leaves the transcript unchanged.
+    if (round.messages > 0) {
+      stats_.transcript_hash =
+          util::mix64(stats_.transcript_hash, round.term_sum);
+    }
+    stats_.total_messages += round.messages;
+    stats_.total_bits += round.bits;
+    stats_.max_message_bits = std::max(stats_.max_message_bits, round.max_bits);
+    stats_.bandwidth_violations += round.violations;
+    if (options_.keep_round_stats) {
+      stats_.per_round.back() = {round.messages, round.bits, round.max_bits};
     }
     std::size_t live = 0;
     for (const auto& wl : vertices_act() ? vertex_work_ : edge_work_) {
       live += wl.size();
     }
     (vertices_act() ? live_vertices_ : live_edges_) = live;
-    const std::uint64_t t0 = cycle_now();
-    account_links(written, key_bit);
     retire(read);
     stats_.account_cycles += cycle_now() - t0;
   }
@@ -716,105 +736,50 @@ class Engine {
   void send_to_edge(detail::ShardScratch* sc, hg::VertexId v,
                     std::uint32_t local, const VertexMsg& msg) {
     const std::uint32_t slot = v_send_slot_[vertex_slot_base_[v] + local];
-    post(to_edge_, sc->lines.data(), slot, msg);
+    post(to_edge_, *sc, slot, msg);
   }
 
   void send_to_vertex(detail::ShardScratch* sc, hg::EdgeId e,
                       std::uint32_t local, const EdgeMsg& msg) {
     const std::uint32_t slot = e_send_slot_[edge_slot_base_[e] + local];
-    post(to_vertex_, sc->lines.data(), slot, msg);
+    post(to_vertex_, *sc, slot, msg);
   }
 
-  /// Stores `msg` in `slot` with its bit-size lane, and marks the slot's
-  /// line in the sending shard's bitmap `lines`.
+  /// Stores `msg` in `slot`, marks the slot's line in the sending shard's
+  /// bitmap, and tallies the message in the shard's send tally.
   template <class M>
-  static void post(detail::Mailbox<M>& box, std::uint64_t* lines,
-                   std::uint32_t slot, const M& msg) {
+  void post(detail::Mailbox<M>& box, detail::ShardScratch& sc,
+            std::uint32_t slot, const M& msg) {
     assert(!box.present[slot] && "one message per link per round");
     box.payload[slot] = msg;
-    box.present[slot] = detail::lane(msg.bit_size());
-    detail::mark_line(lines, slot);
+    box.present[slot] = 1;
+    detail::mark_line(sc.lines.data(), slot);
+    const std::uint32_t bits = msg.bit_size();
+    detail::SendTally& t = sc.sent;
+    ++t.messages;
+    t.bits += bits;
+    t.max_bits = std::max(t.max_bits, bits);
+    t.violations += bits > stats_.bandwidth_limit_bits;
+    t.term_sum += detail::transcript_term(round_, slot, bits);
   }
 
-  // --- accounting and retirement -------------------------------------------
-
-  /// Calls f(first slot) for every marked line in ascending order, adds
-  /// the slots those lines hold (64 each, capped at the link count) to
-  /// slots_processed, and counts the pass as dense iff it visited every
-  /// line. Returns the slot count.
-  template <class F>
-  std::uint64_t walk_lines(const std::vector<std::uint64_t>& lines,
-                           std::uint64_t& dense_passes,
-                           std::uint64_t& sparse_passes, F&& f) {
-    const std::size_t links = graph_->num_incidences();
-    std::uint64_t slots = 0;
-    std::size_t visited = 0;
-    for (std::size_t w = 0; w < lines.size(); ++w) {
-      for (std::uint64_t set = lines[w]; set != 0; set &= set - 1) {
-        const std::size_t begin =
-            (w * 64 + std::countr_zero(set)) * detail::kLineSlots;
-        f(begin);
-        slots += std::min(detail::kLineSlots, links - begin);
-        ++visited;
-      }
-    }
-    ++(visited * detail::kLineSlots >= links ? dense_passes : sparse_passes);
-    stats_.slots_processed += slots;
-    return slots;
-  }
-
-  /// Folds this round's messages into the statistics in ascending slot
-  /// order. Runs single-threaded after the agents step, so totals and the
-  /// transcript hash never depend on agent scheduling. Marked lines cover
-  /// every present slot, so the slot order, and with it the hash, is the
-  /// same whichever lines are marked.
-  template <class M>
-  void account_links(const detail::Mailbox<M>& box, std::uint64_t key_bit) {
-    const std::uint8_t* present = box.present;
-    const std::uint32_t limit = stats_.bandwidth_limit_bits;
-    const std::uint64_t round_key = std::uint64_t{round_} << 40;
-    std::uint64_t hash = stats_.transcript_hash;
-    std::uint64_t messages = 0, bits = 0, violations = 0;
-    std::uint32_t max_bits = 0;
-    walk_lines(box.lines, stats_.dense_account_passes,
-               stats_.sparse_account_passes, [&](std::size_t begin) {
-      for (std::uint64_t set = detail::nonzero_bytes(present + begin);
-           set != 0; set &= set - 1) {
-        const std::size_t slot = begin + std::countr_zero(set);
-        std::uint32_t b = present[slot];
-        if (b == detail::kLaneEscape) b = box.payload[slot].bit_size();
-        ++messages;
-        bits += b;
-        max_bits = std::max(max_bits, b);
-        violations += b > limit;
-        const std::uint64_t slot_key = std::uint64_t{slot} * 2 + key_bit;
-        hash = detail::mix_hash(hash, round_key ^ (slot_key << 8) ^ b);
-      }
-    });
-    stats_.transcript_hash = hash;
-    stats_.total_messages += messages;
-    stats_.total_bits += bits;
-    stats_.max_message_bits = std::max(stats_.max_message_bits, max_bits);
-    stats_.bandwidth_violations += violations;
-    if (options_.keep_round_stats) {
-      auto& rs = stats_.per_round.back();
-      rs.messages += messages;
-      rs.bits += bits;
-      rs.max_message_bits = std::max(rs.max_message_bits, max_bits);
-    }
-  }
+  // --- retirement ----------------------------------------------------------
 
   /// Wipes the marked lines of a direction its receivers have read, so it
-  /// is empty when its senders act next.
+  /// is empty when its senders act next, and counts the presence bytes
+  /// wiped (64 per line, capped at the link count) in slots_processed.
   template <class M>
   void retire(detail::Mailbox<M>& box) {
-    std::uint8_t* present = box.present;
-    stats_.clear_slots +=
-        walk_lines(box.lines, stats_.dense_clear_passes,
-                   stats_.sparse_clear_passes, [&](std::size_t begin) {
-                     std::memset(present + begin, 0, detail::kLineSlots);
-                   });
-    std::fill(box.lines.begin(), box.lines.end(), 0);
+    const std::size_t links = graph_->num_incidences();
+    for (std::size_t w = 0; w < box.lines.size(); ++w) {
+      for (std::uint64_t set = box.lines[w]; set != 0; set &= set - 1) {
+        const std::size_t begin =
+            (w * 64 + std::countr_zero(set)) * detail::kLineSlots;
+        std::memset(box.present + begin, 0, detail::kLineSlots);
+        stats_.slots_processed += std::min(detail::kLineSlots, links - begin);
+      }
+      box.lines[w] = 0;
+    }
   }
 
   const hg::Hypergraph* graph_;

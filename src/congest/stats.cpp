@@ -12,11 +12,6 @@ std::ostream& operator<<(std::ostream& os, const RunStats& s) {
             << " violations=" << s.bandwidth_violations
             << " steps=" << s.agent_steps
             << " slots=" << s.slots_processed
-            << " passes=sparse:" << s.sparse_account_passes
-            << "+dense:" << s.dense_account_passes
-            << " clear=" << s.clear_slots << " (sparse:"
-            << s.sparse_clear_passes << "+dense:" << s.dense_clear_passes
-            << ")"
             << " cycles/step="
             << (s.agent_steps > 0
                     ? static_cast<double>(s.step_cycles) /

@@ -33,8 +33,11 @@ struct RunStats {
   std::uint32_t bandwidth_limit_bits = 0;
   /// Messages that exceeded the bound (0 in a compliant protocol).
   std::uint64_t bandwidth_violations = 0;
-  /// Order-insensitive-inputs, order-sensitive-schedule digest of the full
-  /// message transcript; equal seeds must produce equal hashes.
+  /// Digest of the full message transcript: which link carried how many
+  /// bits in which round and direction. Each round that carried a message
+  /// chains the sum mod 2^64 of its messages' terms (an AdHash multiset
+  /// hash), so the value does not depend on the order of sends within a
+  /// round, nor on the thread count; equal inputs give equal hashes.
   std::uint64_t transcript_hash = 0;
   /// Per-round breakdown (kept only when Options::keep_round_stats).
   std::vector<RoundStats> per_round;
@@ -47,28 +50,19 @@ struct RunStats {
   /// (vertices in even rounds, edges in odd ones). The idle side is never
   /// stepped, so this counts each live agent about every other round.
   std::uint64_t agent_steps = 0;
-  /// Presence bytes scanned by message accounting and wiped by clearing:
-  /// 64 per visited presence line, capped at the link count (a dense pass
-  /// counts all links).
+  /// Presence bytes wiped when a direction that was read retires: 64 per
+  /// marked presence line, capped at the link count, so a round that
+  /// retires a saturated direction counts every link.
   std::uint64_t slots_processed = 0;
-  /// Accounting passes, one per round (over the direction the acting side
-  /// wrote). A pass is dense iff it visits every presence line, sparse
-  /// otherwise.
-  std::uint64_t sparse_account_passes = 0;
-  std::uint64_t dense_account_passes = 0;
-  /// Presence bytes wiped by clearing alone (a subset of slots_processed).
-  std::uint64_t clear_slots = 0;
-  /// Clearing passes, one per round (over the direction the acting side
-  /// read), dense iff they wipe every presence line.
-  std::uint64_t sparse_clear_passes = 0;
-  std::uint64_t dense_clear_passes = 0;
   /// CPU timestamp-counter ticks (congest::cycle_now) spent in the
   /// agent-stepping phase, summed over rounds. A wall-clock-like work
   /// metric — NOT deterministic, never part of the transcript hash;
   /// consumers derive cycles-per-agent-step as step_cycles / agent_steps.
   std::uint64_t step_cycles = 0;
-  /// The same kind of ticks spent in message accounting plus buffer
-  /// retirement. Not deterministic, never hashed, never on the wire.
+  /// The same kind of ticks spent closing rounds: folding the shards'
+  /// send tallies plus buffer retirement. (Each message is tallied at
+  /// send time, inside step_cycles.) Not deterministic, never hashed,
+  /// never on the wire.
   std::uint64_t account_cycles = 0;
 };
 
@@ -85,9 +79,9 @@ struct Options {
   bool keep_round_stats = false;
   /// Worker threads used to step agents inside a round. 1 = sequential,
   /// 0 = one per hardware thread. Any value produces bit-identical runs:
-  /// agents only touch their own state plus per-link slots, and message
-  /// accounting happens in a deterministic slot-order pass after the
-  /// agents step, so the transcript hash is independent of scheduling.
+  /// agents only touch their own state plus per-link slots, and each
+  /// shard's send tally is folded by sums and a max, so neither the
+  /// totals nor the order-free transcript hash depend on scheduling.
   std::uint32_t threads = 1;
   /// External-pool mode: a borrowed worker pool the engine dispatches its
   /// rounds on instead of constructing one of its own. Non-owning; the

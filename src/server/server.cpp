@@ -88,9 +88,6 @@ struct SolveServer::Impl final : Service {
     engine_work.engine_agent_steps += net->agent_steps;
     engine_work.engine_step_cycles += net->step_cycles;
     engine_work.engine_slots_processed += net->slots_processed;
-    engine_work.engine_clear_slots += net->clear_slots;
-    engine_work.engine_sparse_clear_passes += net->sparse_clear_passes;
-    engine_work.engine_dense_clear_passes += net->dense_clear_passes;
   }
 
   ServerStats stats_snapshot() override {

@@ -256,16 +256,13 @@ struct ServerStats {
   // summed from each Solution's RunStats. engine_step_cycles
   // over engine_agent_steps is the server's cycles-per-agent-step, where
   // a round steps only its acting side (vertices in even rounds, edges in
-  // odd ones); engine_clear_slots counts the presence bytes wiped when a
-  // direction that was read retires (64 per wiped presence line, capped
-  // at the link count), and each round makes one clear pass.
+  // odd ones); engine_slots_processed counts the presence bytes wiped
+  // when a direction that was read retires (64 per wiped presence line,
+  // capped at the link count).
   std::uint64_t engine_rounds = 0;
   std::uint64_t engine_agent_steps = 0;
   std::uint64_t engine_step_cycles = 0;
   std::uint64_t engine_slots_processed = 0;
-  std::uint64_t engine_clear_slots = 0;
-  std::uint64_t engine_sparse_clear_passes = 0;
-  std::uint64_t engine_dense_clear_passes = 0;
 };
 
 /// Calls `f("field", &ServerStats::field)` for every field in wire
@@ -290,9 +287,6 @@ void for_each_stats_field(F&& f) {
   f("engine_agent_steps", &ServerStats::engine_agent_steps);
   f("engine_step_cycles", &ServerStats::engine_step_cycles);
   f("engine_slots_processed", &ServerStats::engine_slots_processed);
-  f("engine_clear_slots", &ServerStats::engine_clear_slots);
-  f("engine_sparse_clear_passes", &ServerStats::engine_sparse_clear_passes);
-  f("engine_dense_clear_passes", &ServerStats::engine_dense_clear_passes);
 }
 
 void encode_stats(PayloadWriter& w, const ServerStats& s);

@@ -1,12 +1,13 @@
 // Golden-digest and lock-step tests for the engine's byte-presence
-// mailboxes: every protocol must keep its historical transcripts, covers,
-// and duals at every thread count, the bit-size lane must account every
-// message size exactly, and an engine stepped again after run() released
-// its round memory must continue bit-identically.
+// mailboxes: every protocol must keep its pinned transcripts, covers,
+// and duals at every thread count, send-time accounting must count every
+// message size exactly, the transcript hash must tell apart what it
+// claims to and nothing else, and an engine stepped again after run()
+// released its round memory must continue bit-identically.
 //
-// The golden table below locks every registry algorithm to the
-// historical transcripts: an engine change that reorders or drops a
-// single message fails 30 rows at once.
+// The golden table below locks every registry algorithm to the pinned
+// transcripts: an engine change that moves, resizes or drops a single
+// message fails the engine rows at once.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.hpp"
@@ -50,43 +52,45 @@ struct GoldenRow {
   std::uint64_t digest;
 };
 
-// Captured from the byte-presence engine (eps = 0.5, default options). The sequential baselines (greedy, local-ratio) never
-// enter the engine, so their transcript is 0 but their digest still locks
-// cover + duals.
+// Captured from the byte-presence engine (eps = 0.5, default options)
+// when the transcript became a per-round multiset hash; covers, duals,
+// messages and bits are those of the earlier slot-order chain. The
+// sequential baselines (greedy, local-ratio) never enter the engine, so
+// their transcript is 0 but their digest still locks cover + duals.
 constexpr GoldenRow kGolden[] = {
-    {"random_uniform", "mwhvc", 0x426fe00900c20e96ull, 0x6f868c76c8960f42ull},
-    {"random_uniform", "mwhvc-apxc", 0x35480e00c53a5a24ull,
-     0xeb3f1862c4e7d811ull},
-    {"random_uniform", "kmw", 0x797bab1de3bf7a0eull, 0x7a8cfcf932ff7741ull},
-    {"random_uniform", "kvy", 0x2caf89ca4fb1dfabull, 0x1e9b842b963281d4ull},
+    {"random_uniform", "mwhvc", 0x201250ce8fcdc3b0ull, 0xf37a6a13d1bc74ebull},
+    {"random_uniform", "mwhvc-apxc", 0x502b1f9fbb3de1a6ull,
+     0x65572ae708ab1eccull},
+    {"random_uniform", "kmw", 0x7e5c883c99841e1dull, 0xa4e0e0eb3c08cfebull},
+    {"random_uniform", "kvy", 0xe6b2c231306f20e0ull, 0xe5dbfb76c4636ba9ull},
     {"random_uniform", "greedy", 0x0000000000000000ull, 0xe7c75e98faa2dc5full},
     {"random_uniform", "local-ratio", 0x0000000000000000ull,
      0xcf835f795e6bccefull},
-    {"bounded_degree", "mwhvc", 0x74400653c6d76437ull, 0xda8f6c81deae96ceull},
-    {"bounded_degree", "mwhvc-apxc", 0x93d4d5e03d06e690ull,
-     0xba4a8d8325f860ccull},
-    {"bounded_degree", "kmw", 0xb42539270cc7eec4ull, 0xfde2d5bc54d50567ull},
-    {"bounded_degree", "kvy", 0xd56bdcd3bc426adeull, 0xb598d4efa2ac39fcull},
+    {"bounded_degree", "mwhvc", 0x406784b72ce8f4f1ull, 0x57bce9fdf2908632ull},
+    {"bounded_degree", "mwhvc-apxc", 0x0a827f79d1f3b0ebull,
+     0xe244d677b639cdcdull},
+    {"bounded_degree", "kmw", 0x60a40ecb7bbdfcf2ull, 0x7d432ed174ab1820ull},
+    {"bounded_degree", "kvy", 0x1f2b4dec2d76cc9dull, 0xf1c7b9de2a06fecaull},
     {"bounded_degree", "greedy", 0x0000000000000000ull, 0xa70cfcc07dd56d9full},
     {"bounded_degree", "local-ratio", 0x0000000000000000ull,
      0x34e0f7a07babc32dull},
-    {"hyper_star", "mwhvc", 0x68669a86e00d8917ull, 0x49c89d58f3a22b20ull},
-    {"hyper_star", "mwhvc-apxc", 0xf886c61f276b161aull, 0x182da5632692aa31ull},
-    {"hyper_star", "kmw", 0xb6eed915cf62132bull, 0xda267e7a85c88302ull},
-    {"hyper_star", "kvy", 0x22798c81a5457ec5ull, 0x8834839599d3032dull},
+    {"hyper_star", "mwhvc", 0xaea38f3001d67082ull, 0x8058a37ab8473eaeull},
+    {"hyper_star", "mwhvc-apxc", 0x0754eb550f0041b5ull, 0x1b35090881fbe0fdull},
+    {"hyper_star", "kmw", 0x6d63ff5a834dc409ull, 0xb7b35fa0c7bb610dull},
+    {"hyper_star", "kvy", 0x651ddb6406e7ff4bull, 0x8e01d198ef8216b2ull},
     {"hyper_star", "greedy", 0x0000000000000000ull, 0xd17d7b7b318abecbull},
     {"hyper_star", "local-ratio", 0x0000000000000000ull,
      0x7c878813c1092b62ull},
-    {"gnp", "mwhvc", 0x358783f9dc0c7551ull, 0xf850949f8eba044bull},
-    {"gnp", "mwhvc-apxc", 0x8103efcdce59a2bbull, 0x1a9905b606b1acb1ull},
-    {"gnp", "kmw", 0x84cd1f0561dda51dull, 0xd1f273cff58ffa4aull},
-    {"gnp", "kvy", 0x7cad6c810d14e886ull, 0x0cdc8ca77264aa08ull},
+    {"gnp", "mwhvc", 0x950883b4d3e38b10ull, 0x90991070b4ab33b3ull},
+    {"gnp", "mwhvc-apxc", 0xb8229b428a5a4247ull, 0xcbb5db43e58b57abull},
+    {"gnp", "kmw", 0x931f75e470dddd82ull, 0xe832a548b402426dull},
+    {"gnp", "kvy", 0x40bef67e0f074357ull, 0x490f2271460e116aull},
     {"gnp", "greedy", 0x0000000000000000ull, 0xc1a9598aaae07c2cull},
     {"gnp", "local-ratio", 0x0000000000000000ull, 0xb8f1901a8baea687ull},
-    {"isolated", "mwhvc", 0xa30f5b618fbbb259ull, 0x96de3a9059c7ae20ull},
-    {"isolated", "mwhvc-apxc", 0xff7160191a9a493dull, 0x6936c0bba905848eull},
-    {"isolated", "kmw", 0xdb73010498de8b21ull, 0xb7f2d1c9e565c897ull},
-    {"isolated", "kvy", 0x628ee2b2df888be6ull, 0x2a8b0158e79c7ac8ull},
+    {"isolated", "mwhvc", 0xab8cd9c75521b8b3ull, 0xcfd6d2053b07c191ull},
+    {"isolated", "mwhvc-apxc", 0xbd143f66685ee750ull, 0x79d2e9cb306c285eull},
+    {"isolated", "kmw", 0xf285af1c5ee713ffull, 0x2b8122723b182ab5ull},
+    {"isolated", "kvy", 0xedb7b409990a6aecull, 0x98ef568a104da907ull},
     {"isolated", "greedy", 0x0000000000000000ull, 0xb83522a0215c7207ull},
     {"isolated", "local-ratio", 0x0000000000000000ull,
      0x2d149a6c6c0bd2e3ull},
@@ -145,14 +149,14 @@ TEST(EngineLayoutGolden, EveryAlgorithmMatchesGoldenDigests) {
 // --- Oscillating saturated <-> sparse protocol -----------------------------
 //
 // Vertices act in even rounds and edges in odd ones. Four rounds of
-// all-agents broadcast (saturated: dense accounting, full-line wipes),
-// then the chorus (15/16 of the vertices) halts and a beacon minority
-// oscillates: every beacon sends in rounds r % 4 == 0, only every fourth
-// beacon in rounds r % 4 == 2. Edges echo while they keep hearing
-// something and retire after two silent rounds of their own. The engine
-// therefore flips between dense and sparse accounting, and between
-// full-line wipes and targeted ones, for the rest of the run: a stale
-// presence byte or an unmarked presence line changes the transcript.
+// all-agents broadcast (saturated: full-line wipes), then the chorus
+// (15/16 of the vertices) halts and a beacon minority oscillates: every
+// beacon sends in rounds r % 4 == 0, only every fourth beacon in rounds
+// r % 4 == 2. Edges echo while they keep hearing something and retire
+// after two silent rounds of their own. The engine therefore flips
+// between full-line wipes and targeted ones for the rest of the run: a
+// stale presence byte or an unmarked presence line changes the
+// transcript.
 
 struct OscMsg {
   std::uint64_t value = 0;
@@ -224,11 +228,11 @@ hg::Hypergraph osc_graph() {
   return hg::random_uniform(192, 400, 3, hg::exponential_weights(9), 41);
 }
 
-/// The Osc run on osc_graph(), pinned from the dense reference sweep
-/// before it was retired (that sweep stepped both sides every round, with
-/// each agent then skipping its idle parity itself).
+/// The Osc run on osc_graph(). Rounds, messages, bits and agent states
+/// were pinned from the dense reference sweep before it was retired; the
+/// transcript was re-pinned for the per-round multiset hash.
 constexpr std::uint32_t kOscRounds = 24;
-constexpr std::uint64_t kOscTranscript = 0x882fa59a5a5abedaull;
+constexpr std::uint64_t kOscTranscript = 0xc9863547fd7e6782ull;
 constexpr std::uint64_t kOscMessages = 6144;
 constexpr std::uint64_t kOscBits = 99721;
 constexpr std::uint64_t kOscAgents = 0xd73e9f57bb24e10full;
@@ -236,6 +240,32 @@ constexpr std::uint64_t kOscAgents = 0xd73e9f57bb24e10full;
 congest::Options osc_options(std::uint32_t threads) {
   congest::Options opt;
   opt.threads = threads;
+  return opt;
+}
+
+/// One way to run an engine: its own pool of `threads`, or a borrowed
+/// pool of `pool` workers. Pools of 3 and 5 split the shards unevenly.
+struct Execution {
+  std::uint32_t threads = 1;
+  unsigned pool = 0;
+  [[nodiscard]] std::string label() const {
+    return pool > 0 ? "pool=" + std::to_string(pool)
+                    : "threads=" + std::to_string(threads);
+  }
+};
+
+constexpr Execution kExecutions[] = {{1, 0}, {2, 0}, {4, 0}, {8, 0},
+                                     {1, 2}, {1, 3}, {1, 5}};
+
+/// Options for `exec`; a borrowed pool is made into `pool`, which must
+/// outlive the engine.
+congest::Options options_for(const Execution& exec,
+                             std::unique_ptr<congest::ThreadPool>& pool) {
+  congest::Options opt = osc_options(exec.threads);
+  if (exec.pool > 0) {
+    pool = std::make_unique<congest::ThreadPool>(exec.pool);
+    opt.pool = pool.get();
+  }
   return opt;
 }
 
@@ -289,46 +319,58 @@ TEST(EngineLayout, OscillatingProtocolLockStepAcrossThreads) {
   }
 }
 
-TEST(EngineLayout, OscillationExercisesBothAccountingAndClearPaths) {
+// Round r retires what round r - 1 sent, and slots_processed counts the
+// presence bytes it wipes. Stepped lock-step, each round's delta must be
+// every link after a saturated round, nothing after a silent one, and
+// otherwise at least one slot per message but at most every link. The
+// oscillation must reach both full-line wipes and targeted ones.
+TEST(EngineLayout, OscillationExercisesFullAndTargetedWipes) {
   const auto g = osc_graph();
-  OscEngine eng(g, osc_options(1));
-  const auto s = eng.run();
-  EXPECT_EQ(s.transcript_hash, kOscTranscript);
-  // One accounting pass (the direction written) and one clearing pass
-  // (the direction read) per round.
-  EXPECT_EQ(s.dense_account_passes + s.sparse_account_passes, s.rounds);
-  EXPECT_EQ(s.dense_clear_passes + s.sparse_clear_passes, s.rounds);
-  // The protocol's density oscillation reached both accounting paths and
-  // both clearing paths.
-  EXPECT_GT(s.dense_account_passes, 0u);
-  EXPECT_GT(s.sparse_account_passes, 0u);
-  EXPECT_GT(s.dense_clear_passes, 0u);
-  EXPECT_GT(s.sparse_clear_passes, 0u);
-  // Full passes would touch every presence slot of one direction per
-  // pass; the line-marked passes wipe and scan only the lines sends
-  // marked.
-  const std::uint64_t full = g.num_incidences() * std::uint64_t{s.rounds};
-  EXPECT_GT(s.clear_slots, 0u);
-  EXPECT_LT(s.clear_slots, full);
-  EXPECT_LT(s.slots_processed, 2 * full);
+  const std::uint64_t links = g.num_incidences();
+  congest::Options opt = osc_options(1);
+  opt.keep_round_stats = true;
+  OscEngine eng(g, opt);
+  std::uint64_t sent = 0;  // messages the previous round sent
+  std::uint32_t full = 0, targeted = 0;
+  while (!eng.all_halted()) {
+    ASSERT_LT(eng.stats().per_round.size(), 2 * kOscRounds);
+    const std::uint64_t before = eng.stats().slots_processed;
+    eng.step_round();
+    const std::uint64_t wiped = eng.stats().slots_processed - before;
+    const auto round = eng.stats().per_round.size() - 1;
+    if (sent == links) {
+      EXPECT_EQ(wiped, links) << "round " << round;
+    } else if (sent == 0) {
+      EXPECT_EQ(wiped, 0u) << "round " << round;
+    } else {
+      EXPECT_GE(wiped, sent) << "round " << round;
+      EXPECT_LE(wiped, links) << "round " << round;
+    }
+    full += wiped == links;
+    targeted += wiped > 0 && wiped < links;
+    sent = eng.stats().per_round.back().messages;
+  }
+  EXPECT_EQ(eng.stats().transcript_hash, kOscTranscript);
+  EXPECT_GT(full, 0u);
+  EXPECT_GT(targeted, 0u);
 }
 
-// --- bit-size lane ---------------------------------------------------------
+// --- message sizes and send-time accounting --------------------------------
 //
-// A send stores its bit size in the presence byte, escaping 0 and >= 255
-// to "reread the payload". This protocol sends 0-, 1-, 254-, 255- and
-// 300-bit messages in both directions for kLaneRounds rounds (vertices in
-// the even ones, edges in the odd ones), after the first round of each
+// Each send is tallied as it is posted. This protocol sends 0-, 1-, 254-,
+// 255- and 300-bit messages (the sizes around the escape of an earlier
+// one-byte size lane) in both directions for kLaneRounds rounds (vertices
+// in the even ones, edges in the odd ones), after the first round of each
 // side only to the receivers in one window of ids (so some presence lines
 // stay empty), on a graph of 210 links (the last line is partial). Every
-// accounted quantity must equal a hand fold over the ascending slots.
+// accounted quantity must equal a hand fold, and the fold visits each
+// round's messages in descending slot order, so the send order drops out.
 
 constexpr std::uint32_t kLaneSizes[] = {0, 1, 254, 255, 300};
 constexpr std::uint32_t kLaneRounds = 6;
 
-/// The Lane run, pinned from the dense reference sweep before it was
-/// retired (the hand fold below derives the same transcript).
-constexpr std::uint64_t kLaneTranscript = 0xcc228023670fa32cull;
+/// The Lane run (the hand fold below derives the same transcript).
+constexpr std::uint64_t kLaneTranscript = 0x28b9ad34f4df5da9ull;
 constexpr std::uint64_t kLaneAgents = 0x81c921defccd0b83ull;
 
 struct LaneMsg {
@@ -400,32 +442,27 @@ std::uint32_t local_index(std::span<const std::uint32_t> ids,
                                     ids.begin());
 }
 
-TEST(EngineLayout, BitSizeLaneEscapesMatchHandFold) {
-  const auto g = hg::random_uniform(40, 70, 3, hg::uniform_weights(9), 43);
+hg::Hypergraph lane_graph() {
+  return hg::random_uniform(40, 70, 3, hg::uniform_weights(9), 43);
+}
+
+TEST(EngineLayout, MessageSizesMatchDescendingHandFold) {
+  const auto g = lane_graph();
   ASSERT_EQ(g.num_incidences(), 210u);  // 3 full presence lines + 18 slots
   const std::uint32_t limit =
       4 * static_cast<std::uint32_t>(
               util::ceil_log2(g.num_vertices() + g.num_edges() + 1));
   congest::RunStats want;
   std::uint64_t heard = 0;
-  const auto fold = [&](std::uint32_t r, std::uint64_t slot,
-                        std::uint64_t key_bit, std::uint32_t bits) {
-    ++want.total_messages;
-    want.total_bits += bits;
-    want.max_message_bits = std::max(want.max_message_bits, bits);
-    want.bandwidth_violations += bits > limit;
-    want.transcript_hash = util::mix64(
-        want.transcript_hash,
-        (std::uint64_t{r} << 40) ^ ((slot * 2 + key_bit) << 8) ^ bits);
-    heard += bits + 1;
-  };
   for (std::uint32_t r = 0; r < kLaneRounds; ++r) {
-    std::uint64_t slot = 0;
+    // This round's messages as (receiver slot, bits), slots ascending.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> sent;
+    std::uint32_t slot = 0;
     if (r % 2 == 0) {  // edge-side slots: edges ascending, members
       for (hg::EdgeId e = 0; e < g.num_edges(); ++e) {
         for (const hg::VertexId v : g.vertices_of(e)) {
           const std::uint32_t k = local_index(g.edges_of(v), e);
-          if (lane_sends(e, 16, r)) fold(r, slot, 0, lane_bits(v, k, r));
+          if (lane_sends(e, 16, r)) sent.emplace_back(slot, lane_bits(v, k, r));
           ++slot;
         }
       }
@@ -433,19 +470,33 @@ TEST(EngineLayout, BitSizeLaneEscapesMatchHandFold) {
       for (hg::VertexId v = 0; v < g.num_vertices(); ++v) {
         for (const hg::EdgeId e : g.edges_of(v)) {
           const std::uint32_t j = local_index(g.vertices_of(e), v);
-          if (lane_sends(v, 8, r)) fold(r, slot, 1, lane_bits(e, j, r));
+          if (lane_sends(v, 8, r)) sent.emplace_back(slot, lane_bits(e, j, r));
           ++slot;
         }
       }
     }
+    ASSERT_FALSE(sent.empty());
+    std::uint64_t term_sum = 0;
+    for (auto it = sent.rbegin(); it != sent.rend(); ++it) {
+      const auto [at, bits] = *it;
+      ++want.total_messages;
+      want.total_bits += bits;
+      want.max_message_bits = std::max(want.max_message_bits, bits);
+      want.bandwidth_violations += bits > limit;
+      term_sum += congest::detail::transcript_term(r, at, bits);
+      heard += bits + 1;
+    }
+    want.transcript_hash = util::mix64(want.transcript_hash, term_sum);
   }
   ASSERT_EQ(want.max_message_bits, 300u);
   ASSERT_GT(want.bandwidth_violations, 0u);
   ASSERT_EQ(want.transcript_hash, kLaneTranscript);
 
-  for (const std::uint32_t threads : {1u, 2u, 4u, 8u}) {
-    const std::string label = "threads=" + std::to_string(threads);
-    congest::Engine<LaneProtocol> eng(g, osc_options(threads));
+  // Every thread count and shard split folds the same tallies.
+  for (const Execution& exec : kExecutions) {
+    const std::string label = exec.label();
+    std::unique_ptr<congest::ThreadPool> pool;
+    congest::Engine<LaneProtocol> eng(g, options_for(exec, pool));
     const auto got = eng.run();
     EXPECT_TRUE(got.completed) << label;
     EXPECT_EQ(got.rounds, kLaneRounds + 2) << label;  // one halting round each
@@ -463,9 +514,135 @@ TEST(EngineLayout, BitSizeLaneEscapesMatchHandFold) {
     EXPECT_EQ(agent_digest(eng, g, [](const auto& a) { return a.heard; }),
               kLaneAgents)
         << label;
-    EXPECT_GT(got.sparse_account_passes, 0u) << label;
   }
 }
+
+// --- transcript hash properties --------------------------------------------
+//
+// A script protocol on a hand-built graph sends exactly the listed
+// messages, so two scripts that differ in one respect must hash apart,
+// and one script must hash alike at every thread count and shard split.
+
+struct ScriptSend {
+  std::uint32_t round;   // vertex `sender` sends in even rounds, edge in odd
+  std::uint32_t sender;
+  std::uint32_t local;   // the sender's incident link
+  std::uint32_t bits;
+};
+using Script = std::vector<ScriptSend>;
+
+constexpr std::uint32_t kScriptRounds = 6;
+
+struct ScriptAgent {
+  const Script* script = nullptr;
+  bool halted_flag = false;
+  template <class Ctx>
+  void step(Ctx& ctx) {
+    if (ctx.round() >= kScriptRounds) {
+      halted_flag = true;
+      return;
+    }
+    for (const ScriptSend& s : *script) {
+      if (s.round == ctx.round() && s.sender == ctx.id()) {
+        ctx.send(s.local, LaneMsg{s.bits});
+      }
+    }
+  }
+  [[nodiscard]] bool halted() const { return halted_flag; }
+};
+
+struct ScriptProtocol {
+  using VertexMsg = LaneMsg;
+  using EdgeMsg = LaneMsg;
+  using VertexAgent = ScriptAgent;
+  using EdgeAgent = ScriptAgent;
+};
+
+/// edges_of: v0 {e0, e2}, v1 {e0, e1}, v2 {e1}, v3 {e1, e2}.
+hg::Hypergraph script_graph() {
+  hg::Builder b;
+  b.add_vertices(4, 1);
+  b.add_edge({0, 1});
+  b.add_edge({1, 2, 3});
+  b.add_edge({0, 3});
+  return b.build();
+}
+
+congest::RunStats run_script(const hg::Hypergraph& g, const Script& script,
+                             const Execution& exec = {}) {
+  std::unique_ptr<congest::ThreadPool> pool;
+  congest::Engine<ScriptProtocol> eng(g, options_for(exec, pool));
+  for (auto& a : eng.vertex_agents()) a.script = &script;
+  for (auto& a : eng.edge_agents()) a.script = &script;
+  return eng.run();
+}
+
+TEST(EngineLayout, TranscriptTermSeparatesEveryField) {
+  using congest::detail::transcript_term;
+  const std::uint64_t base = transcript_term(4, 10, 7);
+  EXPECT_NE(transcript_term(5, 10, 7), base);  // round
+  EXPECT_NE(transcript_term(4, 11, 7), base);  // slot
+  EXPECT_NE(transcript_term(4, 10, 8), base);  // bits
+  // A packed key such as round << 40 ^ slot << 8 ^ bits lets one field
+  // spill into the next: slot 1 with 0 bits and slot 0 with 256 bits
+  // would share it.
+  EXPECT_NE(transcript_term(0, 1, 0), transcript_term(0, 0, 256));
+  // Two links of one round trading adjacent bit sizes must change the
+  // round's term sum. Terms without avalanche (a bare mix64 chain) shift
+  // by about +-1 per bit, so such trades cancel for many slot pairs.
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    for (std::uint32_t s = 0; s < 16; ++s) {
+      for (std::uint32_t t = s + 1; t < 16; ++t) {
+        for (std::uint32_t b = 0; b < 8; ++b) {
+          EXPECT_NE(transcript_term(r, s, b) + transcript_term(r, t, b + 1),
+                    transcript_term(r, s, b + 1) + transcript_term(r, t, b))
+              << "round " << r << " slots " << s << ", " << t << " bits "
+              << b;
+        }
+      }
+    }
+  }
+}
+
+TEST(EngineLayout, TranscriptHashSeparatesScripts) {
+  const auto g = script_graph();
+  const Script base = {{0, 0, 0, 5}, {0, 1, 1, 9}, {1, 1, 2, 3}};
+  struct Row {
+    const char* change;
+    Script a;
+    Script b;
+  };
+  const Row rows[] = {
+      {"swap the bit sizes of two links in one round", base,
+       {{0, 0, 0, 9}, {0, 1, 1, 5}, {1, 1, 2, 3}}},
+      // v0 and v1 reach e0's receiver slots 0 and 1.
+      {"swap adjacent bit sizes on receiver slots 0 and 1",
+       {{0, 0, 0, 4}, {0, 1, 0, 5}}, {{0, 0, 0, 5}, {0, 1, 0, 4}}},
+      {"move a message to its side's next round", {{0, 2, 0, 7}},
+       {{2, 2, 0, 7}}},
+      // Round parity fixes the direction, so the flip moves the message
+      // to a round of the other side.
+      {"flip a link's direction (v0 -> e2 vs e2 -> v0)", {{2, 0, 1, 7}},
+       {{1, 2, 0, 7}}},
+      {"drop one message", base, {{0, 0, 0, 5}, {1, 1, 2, 3}}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.change);
+    const auto a = run_script(g, row.a);
+    const auto b = run_script(g, row.b);
+    EXPECT_EQ(a.total_messages, row.a.size());
+    EXPECT_EQ(b.total_messages, row.b.size());
+    EXPECT_NE(a.transcript_hash, b.transcript_hash);
+    for (const Script* script : {&row.a, &row.b}) {
+      const std::uint64_t want = run_script(g, *script).transcript_hash;
+      for (const Execution& exec : kExecutions) {
+        EXPECT_EQ(run_script(g, *script, exec).transcript_hash, want)
+            << exec.label();
+      }
+    }
+  }
+}
+
 
 // --- bounded round memory --------------------------------------------------
 
